@@ -25,16 +25,13 @@ import random
 from collections import deque
 from dataclasses import dataclass, field
 
+from hetsched.analysis import NO_CONTENTION, NPFP, POLICIES, RR
 from hetsched.model import (
     Assignment,
     ModelError,
     ProblemInstance,
     validate_assignment,
 )
-
-RR = "rr"
-NPFP = "npfp"
-NO_CONTENTION = "nocontention"
 
 _CPU = "cpu"
 _ACCEL = "accel"
@@ -109,7 +106,7 @@ def simulate(
     record_events: bool = True,
 ) -> SimResult:
     """Run the deployment and report observed response times per task."""
-    if policy not in (RR, NPFP, NO_CONTENTION):
+    if policy not in POLICIES:
         raise ModelError(f"unknown policy {policy!r}")
     errors = validate_assignment(inst, assignment)
     if errors:

@@ -176,6 +176,51 @@ def test_optimize_stdout_is_clean_json(capsys, tmp_path, index):
     assert doc["objective"] == json.loads(out)["objective"]
 
 
+def test_optimize_stdout_survives_solver_noise(tmp_path, duo_files):
+    # Whatever the solver writes to file descriptor 1 must not reach the
+    # JSON document on stdout.
+    inst, _ = duo_files
+    script = tmp_path / "noisy.py"
+    script.write_text(
+        "import os, sys\n"
+        "from hetsched.cli import main\n"
+        "from hetsched.milp.backends import ScipyBackend\n"
+        "solve = ScipyBackend.solve\n"
+        "def noisy(self, *args, **kwargs):\n"
+        "    os.write(1, b'noise\\n')\n"
+        "    return solve(self, *args, **kwargs)\n"
+        "ScipyBackend.solve = noisy\n"
+        "sys.exit(main(sys.argv[1:]))\n"
+    )
+    proc = subprocess.run(
+        [sys.executable, str(script), "optimize", "--instance", inst,
+         "--policy", "rr", "--objective", "minmax-lat"],
+        capture_output=True,
+        text=True,
+    )
+    assert proc.returncode == 0, proc.stderr
+    assert json.loads(proc.stdout)["objective"] == 29_500.0
+    assert "noise" in proc.stderr
+
+
+@pytest.mark.parametrize("command", ["analyze", "simulate", "search", "optimize"])
+def test_invalid_instance_fails_every_subcommand(capsys, tmp_path, duo_files, command):
+    t1 = make_task("t1", 10_000, [seg_cpu(4_000)], deadline=20_000)
+    t2 = make_task("t2", 20_000, [seg_opt(9_000, 1_000, 500, 4_000)])
+    path = tmp_path / "late.json"
+    path.write_text(instance_to_json(make_instance([t1, t2])))
+    _, asg = duo_files
+    argv = [command, "--instance", str(path), "--policy", "rr"]
+    if command in ("analyze", "simulate"):
+        argv += ["--assignment", asg]
+    else:
+        argv += ["--objective", "minmax-rt"]
+    code, out, err = run(capsys, *argv)
+    assert code == 1
+    assert out == ""
+    assert err.startswith("error: invalid instance:") and "deadline" in err
+
+
 def test_search_matches_optimizer(capsys, duo_files):
     inst, _ = duo_files
     code, out, _ = run(

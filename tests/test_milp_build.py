@@ -79,6 +79,16 @@ def test_checkpoint_selection_rows_per_grid_point(waters_rr):
     assert len(fam["c11d"]) == 9
 
 
+@pytest.mark.parametrize("policy", ["rr", "npfp", "nocontention"])
+def test_aggregated_cuts_per_task_and_per_accelerable_segment(policy):
+    rows = _rows_by_family(build_milp(builtin_waters(), policy, "minmax-lat"))
+    assert len(rows["c11e"]) == 9  # R_i >= e_i + s_i + sum of interference
+    if policy == "npfp":
+        assert len(rows["c18e"]) == 4  # sseg >= e_hw + b_i + sum of Hd, if accelerated
+    else:
+        assert "c18e" not in rows
+
+
 def test_npfp_adds_accelerator_contention_machinery():
     model = build_milp(builtin_waters(), "npfp", "minmax-lat")
     fam = _vars_by_family(model)

@@ -1,13 +1,23 @@
 """End-to-end deployment optimization on small instances."""
 
+import json
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
 from helpers import make_instance, make_task, oracle_corpus_instance, seg_cpu, seg_opt
 
 from hetsched.bruteforce import best_assignment
-from hetsched.milp import INFEASIBLE, MAX_ACCELERATION, OPTIMAL, optimize
-from hetsched.model import ChainSpec
+from hetsched.milp import INFEASIBLE, MAX_ACCELERATION, OPTIMAL, ScipyBackend, optimize
+from hetsched.model import ChainSpec, instance_from_dict
+
+# Three small instances on which HiGHS's presolve cut off the optimum of the
+# MILP without the aggregated cuts c11e/c18e: it claimed 0.7073 against the
+# true 0.7072, reported "infeasible" against 0.8516, and claimed 1.4704
+# against 1.4167.
+PRESOLVE_CUTOFFS = json.loads(
+    (Path(__file__).parent / "data" / "presolve_cutoffs.json").read_text()
+)
 
 
 @pytest.fixture
@@ -75,6 +85,39 @@ def test_latency_optimum_is_solved_not_errored():
     ref = best_assignment(inst, "rr", "minmax-lat")
     assert ref.objective == 7_809
     assert res.objective == ref.objective
+
+
+@pytest.mark.parametrize("case", PRESOLVE_CUTOFFS, ids=lambda c: c["origin"].split()[0])
+def test_presolve_cutoff_instances_reach_the_brute_force_optimum(case):
+    inst = instance_from_dict(case["instance"])
+    res = optimize(inst, case["policy"], case["objective"])
+    ref = best_assignment(inst, case["policy"], case["objective"])
+    assert res.status == OPTIMAL
+    assert res.verified
+    assert isinstance(res.objective, Fraction)
+    assert res.objective == ref.objective
+    assert res.solver_objective == pytest.approx(float(ref.objective), abs=1e-6)
+
+
+class _ZeroClockBackend(ScipyBackend):
+    """HiGHS, but reporting that the solve took no time at all."""
+
+    def solve(self, *args, **kwargs):
+        res = super().solve(*args, **kwargs)
+        res.runtime_s = 0.0
+        return res
+
+
+def test_runtime_covers_the_whole_call(tiny):
+    # Build, decode and verify take time of their own, so the result's
+    # runtime is positive even when the backend reports none.
+    res = optimize(tiny, "rr", "minmax-lat", backend=_ZeroClockBackend())
+    assert res.ok
+    assert res.runtime_s > 0.0
+    inst = make_instance([make_task("t", 10_000, [seg_cpu(12_000)])])
+    res = optimize(inst, "rr", "minmax-rt", backend=_ZeroClockBackend())
+    assert res.status == INFEASIBLE
+    assert res.runtime_s > 0.0
 
 
 def test_tie_break_prefers_acceleration():
