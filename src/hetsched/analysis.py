@@ -359,7 +359,16 @@ def suspension_bounds(
     """
     if policy not in POLICIES:
         raise ModelError(f"unknown policy {policy!r}")
-    views = build_views(inst, assign)
+    return _suspension_bounds(inst, assign, policy, mode, build_views(inst, assign))
+
+
+def _suspension_bounds(
+    inst: ProblemInstance,
+    assign: Assignment,
+    policy: str,
+    mode: str,
+    views: Mapping[str, SelfSuspendingView],
+) -> dict[str, tuple[int, ...] | None]:
     out: dict[str, tuple[int, ...] | None] = {}
     for task in inst.tasks:
         v = views[task.id]
@@ -474,7 +483,12 @@ def analyze(
 
     views = build_views(inst, assign)
     susp_mode = CONSERVATIVE if mode == CONSERVATIVE else EXACT
-    suspensions = suspension_bounds(inst, assign, policy, mode=susp_mode)
+    suspensions = _suspension_bounds(inst, assign, policy, susp_mode, views)
+    # Computed once per call: the checkpoint grid and conservative
+    # interference read them; the fixed-point iteration reads neither.
+    jitter = (
+        {} if mode == FIXED_POINT else {s.id: release_jitter_bound(inst, s) for s in inst.tasks}
+    )
 
     wcrt: dict[str, int | None] = {}
     results: dict[str, TaskResult] = {}
@@ -500,7 +514,7 @@ def analyze(
                     continue
                 ov = views[other.id]
                 if mode == CONSERVATIVE:
-                    j = release_jitter_bound(inst, other)
+                    j = jitter[other.id]
                 elif ov.suspends:
                     rh = wcrt[other.id]
                     if rh is None:
@@ -518,7 +532,7 @@ def analyze(
                 r = rta_fixed_point(base, interferers, task.deadline_us)
             else:
                 sources = [
-                    (s.period_us, release_jitter_bound(inst, s))
+                    (s.period_us, jitter[s.id])
                     for s in inst.tasks
                     if s.id != tid
                 ]

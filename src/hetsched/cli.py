@@ -177,7 +177,6 @@ def _cmd_simulate(args) -> int:
         args.policy,
         horizon_us=args.horizon,
         seed=args.seed,
-        record_events=True,
     )
     problems = validate_trace(result.events, args.policy)
     doc = {
@@ -190,7 +189,7 @@ def _cmd_simulate(args) -> int:
     }
     if args.events:
         doc["events"] = [
-            {k: v for k, v in vars(ev).items() if v is not None} for ev in result.events
+            {k: v for k, v in ev._asdict().items() if v is not None} for ev in result.events
         ]
     _emit(doc, args)
     ok = not result.deadline_misses and not result.truncated and not problems

@@ -352,15 +352,17 @@ def _take(obj: dict, path: str, keys: dict[str, bool]) -> dict:
     return data
 
 
+def _int(v, path: str) -> int:
+    # JSON ``true`` parses to a bool, which Python counts as an int.
+    if not isinstance(v, int) or isinstance(v, bool):
+        raise ModelError(f"{path}: expected an integer")
+    return v
+
+
 def _int_table(obj, path: str) -> dict[str, int]:
     if not isinstance(obj, dict):
         raise ModelError(f"{path}: expected an object of core-type -> integer")
-    table = {}
-    for k, v in obj.items():
-        if not isinstance(v, int) or isinstance(v, bool):
-            raise ModelError(f"{path}.{k}: expected an integer")
-        table[str(k)] = v
-    return table
+    return {str(k): _int(v, f"{path}.{k}") for k, v in obj.items()}
 
 
 def instance_from_dict(doc: dict) -> ProblemInstance:
@@ -402,22 +404,21 @@ def instance_from_dict(doc: dict) -> ProblemInstance:
                 impl = ImplType(sd["impl"])
             except ValueError:
                 raise ModelError(f"{spath}.impl: expected one of cpu/hwa/cpu_hwa") from None
+            accel_us = sd.get("accel_us")
             segments.append(
                 SegmentSpec(
                     impl=impl,
                     exec_us=_int_table(sd.get("exec_us", {}), f"{spath}.exec_us"),
                     offload_us=_int_table(sd.get("offload_us", {}), f"{spath}.offload_us"),
                     finalize_us=_int_table(sd.get("finalize_us", {}), f"{spath}.finalize_us"),
-                    accel_us=sd.get("accel_us"),
+                    accel_us=None if accel_us is None else _int(accel_us, f"{spath}.accel_us"),
                 )
             )
-        if not isinstance(td["period_us"], int) or not isinstance(td["deadline_us"], int):
-            raise ModelError(f"tasks[{i}]: period_us and deadline_us must be integers")
         tasks.append(
             TaskSpec(
                 id=str(td["id"]),
-                period_us=td["period_us"],
-                deadline_us=td["deadline_us"],
+                period_us=_int(td["period_us"], f"tasks[{i}].period_us"),
+                deadline_us=_int(td["deadline_us"], f"tasks[{i}].deadline_us"),
                 segments=tuple(segments),
             )
         )

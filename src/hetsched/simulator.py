@@ -12,6 +12,21 @@ Two drive modes:
 * ``seed=<int>``: per-task release offsets drawn uniformly from the period
   and per-phase durations drawn uniformly from [ceil(w/2), w].
 
+The trace is a list of :class:`SimEvent` in time order.  Its kinds:
+
+* ``release``: a job of the task arrives.
+* ``run`` (with ``core`` and ``segment``): the job takes the core.
+* ``stop`` (with ``core`` and ``cause``): the job leaves the core while it
+  still has CPU work.  ``cause="preempt"``: a higher-priority job takes the
+  core.  ``cause="segment_end"``: its CPU phase ended and its next phase is
+  again a CPU phase; the next ``run`` says who gets the core.
+* ``offload`` (with ``segment``): the job requests the accelerator and
+  leaves its core.
+* ``accel_start`` / ``accel_done`` (with ``segment``): the accelerator
+  starts and finishes serving that request.
+* ``deadline_miss``: the job finishes late; ``finish`` follows at once.
+* ``finish``: the job completes and leaves its core.
+
 The simulator executes raw segments (offload, accelerator processing,
 finalize) rather than the merged execution regions the analysis reasons
 about, so agreement between observed response times and analytic bounds is
@@ -24,6 +39,7 @@ import math
 import random
 from collections import deque
 from dataclasses import dataclass, field
+from typing import NamedTuple
 
 from hetsched.analysis import NO_CONTENTION, NPFP, POLICIES, RR
 from hetsched.model import (
@@ -37,8 +53,7 @@ _CPU = "cpu"
 _ACCEL = "accel"
 
 
-@dataclass(frozen=True)
-class SimEvent:
+class SimEvent(NamedTuple):
     time_us: int
     kind: str  # release | run | stop | offload | accel_start | accel_done | finish | deadline_miss
     task: str
@@ -103,7 +118,6 @@ def simulate(
     policy: str,
     horizon_us: int | None = None,
     seed: int | None = None,
-    record_events: bool = True,
 ) -> SimResult:
     """Run the deployment and report observed response times per task."""
     if policy not in POLICIES:
@@ -121,15 +135,19 @@ def simulate(
     period = {t.id: t.period_us for t in inst.tasks}
     deadline = {t.id: t.deadline_us for t in inst.tasks}
     prio = assignment.priority_of
+    core_of = assignment.core_of
+    # Each core's tasks by descending priority; the stable sort keeps task
+    # order among equal priorities.
     core_tasks: dict[str, list[str]] = {c.id: [] for c in inst.platform.cores}
-    for tid in task_ids:
-        core_tasks[assignment.core_of[tid]].append(tid)
+    for tid in sorted(task_ids, key=lambda t: -prio[t]):
+        core_tasks[core_of[tid]].append(tid)
 
     next_release = {
         tid: 0 if rng is None else rng.randrange(period[tid]) for tid in task_ids
     }
     queue: dict[str, deque[_Job]] = {tid: deque() for tid in task_ids}
     running: dict[str, _Job | None] = {c.id: None for c in inst.platform.cores}
+    dirty: set[str] = set()  # cores whose jobs changed state since the last dispatch
     pending: dict[str, _Job] = {}  # accelerator requests awaiting a grant
     device_job: _Job | None = None  # RR/NPFP: the request being served
     device_done = None  # absolute completion time of device_job
@@ -143,8 +161,7 @@ def simulate(
     truncated = False
 
     def emit(time, kind, task, core=None, segment=None, cause=None):
-        if record_events:
-            events.append(SimEvent(time, kind, task, core, segment, cause))
+        events.append(SimEvent(time, kind, task, core, segment, cause))
 
     def duration(worst: int) -> int:
         if worst == 0 or rng is None:
@@ -153,6 +170,7 @@ def simulate(
 
     def advance(job: _Job, now: int) -> None:
         """Move a job to its next nonzero phase, issuing requests/finishing."""
+        dirty.add(core_of[job.task_id])
         while True:
             job.idx += 1
             if job.idx >= len(job.phases):
@@ -204,69 +222,89 @@ def simulate(
         device_done = now + job.remaining
         emit(now, "accel_start", tid, segment=job.phases[job.idx][2])
 
+    def earliest_release() -> float:
+        return min((r for r in next_release.values() if r < horizon), default=math.inf)
+
     now = 0
+    release_at = earliest_release()
     while True:
-        # 1. releases
-        for tid in task_ids:
-            while next_release[tid] <= now and next_release[tid] < horizon:
-                release = next_release[tid]
-                job = _Job(tid, release, deadline[tid], templates[tid])
-                queue[tid].append(job)
-                emit(release, "release", tid)
-                if queue[tid][0] is job:
-                    advance(job, release)  # enter the first phase
-                next_release[tid] += period[tid]
+        # 1. releases, once the earliest pending one is due
+        if release_at <= now:
+            for tid in task_ids:
+                while next_release[tid] <= now and next_release[tid] < horizon:
+                    release = next_release[tid]
+                    job = _Job(tid, release, deadline[tid], templates[tid])
+                    queue[tid].append(job)
+                    emit(release, "release", tid)
+                    if queue[tid][0] is job:
+                        advance(job, release)  # enter the first phase
+                    next_release[tid] += period[tid]
+            release_at = earliest_release()
 
         # 2. accelerator completions
         if device_job is not None and device_done <= now:
             job, device_job, device_done = device_job, None, None
             emit(now, "accel_done", job.task_id, segment=job.phases[job.idx][2])
             advance(job, now)
-        for done, job in [x for x in nc_done if x[0] <= now]:
-            nc_done.remove((done, job))
-            emit(now, "accel_done", job.task_id, segment=job.phases[job.idx][2])
-            advance(job, now)
+        if nc_done:
+            for done, job in [x for x in nc_done if x[0] <= now]:
+                nc_done.remove((done, job))
+                emit(now, "accel_done", job.task_id, segment=job.phases[job.idx][2])
+                advance(job, now)
 
-        # 3. CPU phase completions
-        for cid, job in list(running.items()):
+        # 3. CPU phase completions.  A job whose next phase is again a CPU
+        # phase leaves the core here too, so it is stopped explicitly;
+        # ``offload`` and ``finish`` already mark the other ways off a core.
+        for cid, job in running.items():
             if job is not None and job.remaining == 0:
                 running[cid] = None
                 advance(job, now)
+                if job.idx < len(job.phases) and job.phases[job.idx][0] == _CPU:
+                    emit(now, "stop", job.task_id, core=cid, cause="segment_end")
 
         # 4. accelerator grants (new requests may have just arrived)
         grant(now)
 
-        # 5. dispatch: highest-priority ready job per core
-        for cid, tids in core_tasks.items():
-            # A job is CPU-ready iff its current phase is a CPU phase; jobs
-            # waiting on or using the accelerator sit on an _ACCEL phase.
-            ready = [
-                queue[tid][0]
-                for tid in tids
-                if queue[tid]
-                and queue[tid][0].idx >= 0
-                and queue[tid][0].phases[queue[tid][0].idx][0] == _CPU
-                and queue[tid][0].remaining > 0
-            ]
-            choice = max(ready, key=lambda j: prio[j.task_id], default=None)
-            if running[cid] is not choice:
-                if running[cid] is not None:
-                    emit(now, "stop", running[cid].task_id, core=cid, cause="preempt")
-                if choice is not None:
-                    seg = choice.phases[choice.idx][2]
-                    emit(now, "run", choice.task_id, core=cid, segment=seg)
-                running[cid] = choice
+        # 5. dispatch: highest-priority ready job on each core whose jobs
+        # changed state; on any other core the choice cannot have changed.
+        if dirty:
+            for cid, tids in core_tasks.items():
+                if cid not in dirty:
+                    continue
+                # A job is CPU-ready iff its current phase is a CPU phase;
+                # jobs waiting on or using the accelerator sit on an _ACCEL phase.
+                choice = None
+                for tid in tids:
+                    if queue[tid]:
+                        job = queue[tid][0]
+                        if (
+                            job.idx >= 0
+                            and job.phases[job.idx][0] == _CPU
+                            and job.remaining > 0
+                        ):
+                            choice = job
+                            break
+                if running[cid] is not choice:
+                    if running[cid] is not None:
+                        emit(now, "stop", running[cid].task_id, core=cid, cause="preempt")
+                    if choice is not None:
+                        seg = choice.phases[choice.idx][2]
+                        emit(now, "run", choice.task_id, core=cid, segment=seg)
+                    running[cid] = choice
+            dirty.clear()
 
         # 6. next event time
-        horizon_releases = [r for r in next_release.values() if r < horizon]
-        candidates = list(horizon_releases)
-        if device_done is not None:
-            candidates.append(device_done)
-        candidates.extend(done for done, _ in nc_done)
-        candidates.extend(now + job.remaining for job in running.values() if job is not None)
-        if not candidates:
+        nxt = release_at
+        if device_done is not None and device_done < nxt:
+            nxt = device_done
+        for done, _ in nc_done:
+            if done < nxt:
+                nxt = done
+        for job in running.values():
+            if job is not None and now + job.remaining < nxt:
+                nxt = now + job.remaining
+        if nxt == math.inf:
             break
-        nxt = min(candidates)
         if nxt > hard_stop:
             truncated = True
             break

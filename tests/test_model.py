@@ -142,6 +142,21 @@ def test_non_integer_wcet_is_rejected(tiny):
         instance_from_dict(doc)
 
 
+def test_string_accel_wcet_is_rejected(tiny):
+    doc = instance_to_dict(tiny)
+    doc["tasks"][1]["segments"][0]["accel_us"] = "5"
+    with pytest.raises(ModelError, match=r"segments\[0\]\.accel_us: expected an integer"):
+        instance_from_dict(doc)
+
+
+@pytest.mark.parametrize("key", ["period_us", "deadline_us"])
+def test_boolean_period_or_deadline_is_rejected(tiny, key):
+    doc = instance_to_dict(tiny)
+    doc["tasks"][0][key] = True
+    with pytest.raises(ModelError, match=rf"tasks\[0\]\.{key}: expected an integer"):
+        instance_from_dict(doc)
+
+
 def test_load_instance_from_file(tmp_path, tiny):
     p = tmp_path / "inst.json"
     p.write_text(instance_to_json(tiny))

@@ -1,9 +1,24 @@
 """Discrete-event simulation: dispatching, arbitration, and trace validation."""
 
-import pytest
-from helpers import assign, make_instance, make_task, seg_cpu, seg_hwa, seg_opt
+import hashlib
+import json
+import random
+import sys
+from pathlib import Path
 
-from hetsched.analysis import CONSERVATIVE, EXACT, analyze
+import pytest
+from helpers import (
+    assign,
+    make_instance,
+    make_task,
+    random_assignment,
+    random_instance,
+    seg_cpu,
+    seg_hwa,
+    seg_opt,
+)
+
+from hetsched.analysis import CONSERVATIVE, EXACT, POLICIES, analyze
 from hetsched.model import ModelError, builtin_waters, waters_published_assignment
 from hetsched.simulator import SimEvent, simulate, validate_trace
 
@@ -169,3 +184,92 @@ def test_benchmark_deployment_honors_all_analytic_bounds():
         observed = res.observed(task.id)
         assert observed is not None
         assert observed <= report.task(task.id).wcrt_us
+
+
+def test_cpu_phase_ending_into_cpu_phase_stops_the_job():
+    hi = make_task("hi", 1_000, [seg_cpu(100)])
+    lo = make_task("lo", 4_000, [seg_cpu(900), seg_cpu(500)])
+    inst = make_instance([hi, lo], n_cores=1)
+    res = simulate(inst, assign({"hi": "c0", "lo": "c0"}, {"hi": 2, "lo": 1}), "rr")
+    # lo's first segment ends at 1000 (and 5000), just as hi is released and
+    # takes the core: lo must leave the core before hi is dispatched.
+    assert validate_trace(res.events, "rr") == []
+    ends = [(e.time_us, e.task) for e in res.events if e.cause == "segment_end"]
+    assert ends == [(1_000, "lo"), (5_000, "lo")]
+    assert res.observed("lo") == 1_600
+
+
+# ---------------------------------------------------------------------------
+# Reference behaviour.  ``tests/data/sim_reference.json`` holds a digest of
+# every case below as an earlier simulator produced it; any change to the
+# schedule, the response times, the random draws or the event order shows up
+# as a mismatch.  Re-record it (only on purpose) with
+# ``PYTHONPATH=src:tests python tests/test_simulator.py > tests/data/sim_reference.json``.
+# ---------------------------------------------------------------------------
+
+REFERENCE = Path(__file__).parent / "data" / "sim_reference.json"
+
+
+def _reference_cases():
+    waters, published = builtin_waters(), waters_published_assignment()
+    cases = [
+        (f"waters/{policy}/{drive}", waters, published, policy, drive, None)
+        for policy in POLICIES
+        for drive in (None, 7)
+    ]
+    overload = make_instance([make_task("t", 5_000, [seg_cpu(6_000)])], n_cores=1)
+    cases.append(("overload", overload, assign({"t": "c0"}, {"t": 1}), "rr", None, 200_000))
+    rng = random.Random(2026)
+    for k in range(60):
+        inst = random_instance(rng, max_tasks=4, util=(0.3, 1.3))
+        asg = random_assignment(rng, inst)
+        policy = POLICIES[k % len(POLICIES)]
+        drive = None if k % 2 == 0 else k
+        cases.append((f"random/{k}/{policy}", inst, asg, policy, drive, None))
+    return cases
+
+
+def _digest(res) -> dict:
+    """What the reference pins: outcomes plus a hash of the event list.
+
+    The ``segment_end`` stops are left out of the hash: the recorded
+    simulator did not emit them (and its traces were wrong for it).
+    """
+    h = hashlib.sha256()
+    for ev in res.events:
+        if ev.kind == "stop" and ev.cause == "segment_end":
+            continue
+        fields = [ev.time_us, ev.kind, ev.task, ev.core, ev.segment, ev.cause]
+        h.update(json.dumps(fields).encode() + b"\n")
+    return {
+        "observed_wcrt_us": res.observed_wcrt_us,
+        "jobs_finished": res.jobs_finished,
+        "deadline_misses": [list(m) for m in res.deadline_misses],
+        "truncated": res.truncated,
+        "events_sha256": h.hexdigest(),
+    }
+
+
+_CASES = _reference_cases()
+
+
+@pytest.fixture(scope="module")
+def reference():
+    return json.loads(REFERENCE.read_text())
+
+
+@pytest.mark.parametrize(
+    "name, inst, asg, policy, drive, horizon", _CASES, ids=[c[0] for c in _CASES]
+)
+def test_simulation_matches_reference(reference, name, inst, asg, policy, drive, horizon):
+    res = simulate(inst, asg, policy, horizon_us=horizon, seed=drive)
+    assert _digest(res) == reference[name]
+
+
+if __name__ == "__main__":
+    recorded = {
+        name: _digest(simulate(inst, asg, policy, horizon_us=horizon, seed=drive))
+        for name, inst, asg, policy, drive, horizon in _CASES
+    }
+    json.dump(recorded, sys.stdout, indent=1, sort_keys=True)
+    sys.stdout.write("\n")
