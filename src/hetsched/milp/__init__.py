@@ -50,6 +50,8 @@ class OptimizeResult:
     runtime_s: float  # the whole call: build, solve(s), decode and verify
     model_stats: dict
     message: str = ""
+    nodes: int | None = None  # branch-and-bound nodes, summed over the tie-break re-solve
+    dual_bound: float | None = None  # the solver's proven bound on solver_objective
 
     @property
     def ok(self) -> bool:
@@ -69,6 +71,8 @@ class OptimizeResult:
             "runtime_s": self.runtime_s,
             "model": self.model_stats,
             "message": self.message,
+            "nodes": self.nodes,
+            "dual_bound": self.dual_bound,
         }
 
 
@@ -128,14 +132,19 @@ def optimize(
             runtime_s=time.perf_counter() - start,
             model_stats=stats,
             message=res.message,
+            nodes=res.nodes,
+            dual_bound=res.dual_bound,
         )
 
     solver_objective = res.objective
     status = res.status
     values = res.values
+    nodes = res.nodes
     if tie_break == MAX_ACCELERATION and solver_objective is not None:
         _pin_and_maximize_acceleration(model, solver_objective)
         res2 = backend.solve(model, time_limit=time_limit, mip_gap=mip_gap)
+        if nodes is not None and res2.nodes is not None:
+            nodes += res2.nodes
         if res2.has_solution:
             values = res2.values
             status = res2.status if status == OPTIMAL else status
@@ -157,6 +166,8 @@ def optimize(
         runtime_s=time.perf_counter() - start,
         model_stats=stats,
         message=verification.message or res.message,
+        nodes=nodes,
+        dual_bound=res.dual_bound,
     )
 
 

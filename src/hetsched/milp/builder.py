@@ -63,6 +63,8 @@ those four solves took 15.4 s and 3,402 nodes instead of 3.4 s and 4 nodes.
 
 from __future__ import annotations
 
+from dataclasses import dataclass
+
 from hetsched.analysis import (
     MINMAX_LAT,
     MINMAX_RT,
@@ -80,6 +82,155 @@ from hetsched.analysis import (
 )
 from hetsched.milp.ir import MilpModel
 from hetsched.model import ImplType, ModelError, ProblemInstance, validate_instance
+
+
+# Criterion 8's limit on every coefficient, variable bound and right-hand side
+# of the encoding, enforced on the input by ``validate_instance``.  HiGHS
+# rejects a matrix entry of 1e15 or more (its ``large_matrix_value``) as a
+# model error.
+COEFFICIENT_LIMIT = 2**40
+
+
+@dataclass(frozen=True)
+class _BigMs:
+    """Per-task constants and big-Ms of the encoding.
+
+    Only the suspension caps, and the demand caps built on them, depend on
+    the arbitration policy; :meth:`suspension_caps` and :meth:`rho_caps` give
+    those.
+    """
+
+    period: list[int]
+    deadline: list[int]
+    jit: list[int]  # release jitter constant (CPU interference)
+    ajit: list[int]  # accelerator jitter constant
+    acc_idx: list[list[int]]  # accelerable segments
+    accel: list[list[int]]  # accelerator time of each accelerable segment
+    max_accel: list[int]
+    sum_accel: list[int]
+    seg_cap: list[list[int]]  # upper bound on a segment's CPU-side cost
+    cmax: list[int]  # upper bound on a task's CPU-side cost
+    b_cap: list[int]  # npfp blocking cap
+    delta_cap: list[int]  # npfp accelerator-wait cap (c18b/c18c/c18e)
+
+    @classmethod
+    def of(cls, inst: ProblemInstance) -> "_BigMs":
+        tasks = inst.tasks
+        n = len(tasks)
+        ctypes = {c.type for c in inst.platform.cores}
+        seg_cap = []
+        for t in tasks:
+            caps = []
+            for seg in t.segments:
+                cap = 0
+                for ct in ctypes:
+                    if seg.impl is not ImplType.HWA:
+                        cap = max(cap, seg.exec_us[ct])
+                    if seg.impl.may_accelerate:
+                        cap = max(cap, seg.offload_us[ct] + seg.finalize_us[ct])
+                caps.append(cap)
+            seg_cap.append(caps)
+        acc_idx = [t.accelerable_segments() for t in tasks]
+        accel = [[t.segments[j].accel_us or 0 for j in acc_idx[i]] for i, t in enumerate(tasks)]
+        max_accel = [max(a, default=0) for a in accel]
+        sum_accel = [sum(a) for a in accel]
+        period = [t.period_us for t in tasks]
+        deadline = [t.deadline_us for t in tasks]
+        ajit = [accel_jitter_bound(inst, t) for t in tasks]
+        b_cap = [max((max_accel[s] for s in range(n) if s != i), default=0) for i in range(n)]
+        delta_cap = [
+            b_cap[i]
+            + sum(
+                _ceil_div(deadline[i] + ajit[s], period[s]) * sum_accel[s]
+                for s in range(n)
+                if s != i and acc_idx[s]
+            )
+            for i in range(n)
+        ]
+        return cls(
+            period=period,
+            deadline=deadline,
+            jit=[release_jitter_bound(inst, t) for t in tasks],
+            ajit=ajit,
+            acc_idx=acc_idx,
+            accel=accel,
+            max_accel=max_accel,
+            sum_accel=sum_accel,
+            seg_cap=seg_cap,
+            cmax=[sum(caps) for caps in seg_cap],
+            b_cap=b_cap,
+            delta_cap=delta_cap,
+        )
+
+    def suspension_caps(self, policy: str) -> list[dict[int, int]]:
+        """Cap on each accelerable segment's suspension (``sseg`` bounds)."""
+        n = len(self.deadline)
+        out = []
+        for i in range(n):
+            others = sum(self.max_accel[h] for h in range(n) if h != i)
+            caps = {}
+            for j, e_hw in zip(self.acc_idx[i], self.accel[i]):
+                if policy == NO_CONTENTION:
+                    caps[j] = e_hw
+                elif policy == RR:
+                    caps[j] = e_hw + others
+                else:
+                    caps[j] = e_hw + self.deadline[i]
+            out.append(caps)
+        return out
+
+    def rho_caps(self, s_cap: list[int]) -> list[int]:
+        """Cap on each task's demand at any checkpoint (``c11b``/``c11c``)."""
+        n = len(self.deadline)
+        D, T, jit, cmax = self.deadline, self.period, self.jit, self.cmax
+        return [
+            cmax[i]
+            + s_cap[i]
+            + sum(_ceil_div(D[i] + jit[s], T[s]) * cmax[s] for s in range(n) if s != i)
+            for i in range(n)
+        ]
+
+
+def encoding_magnitude(inst: ProblemInstance) -> int:
+    """Largest magnitude among the coefficients, variable bounds and
+    right-hand sides that :func:`build_milp` writes for ``inst`` under any
+    policy and objective.
+
+    Every checkpoint grid ends at the deadline ``D_i``, so each row family
+    peaks there.  The candidates are ``c11b``'s ``D_i + rho_cap_i``, which
+    covers ``c11c``, ``c12``-``c14``, the ``rt`` rows and every ``rho``,
+    ``sseg``, ``s`` and ``Hd`` bound; ``c10``'s ``2 * cmax_i``, which covers
+    ``c8`` and the ``e``/``I`` bounds; npfp's ``max(D_i, e_hw) + delta_cap_i``
+    of ``c18b``/``c18c``/``c18e``, which covers ``c16``/``c17a``; the demand
+    multipliers of ``c11a`` and ``c18a``; and the task count of ``c4``/``c6``.
+    A chain adds the largest value its ``L_ch`` can take: the periods its
+    ``lat`` row adds plus the deadlines of its tasks.
+    """
+    caps = _BigMs.of(inst)
+    D, T = caps.deadline, caps.period
+    n = len(D)
+    s_cap = [0] * n  # the largest over the policies
+    for policy in POLICIES:
+        for i, ss in enumerate(caps.suspension_caps(policy)):
+            s_cap[i] = max(s_cap[i], sum(ss.values()))
+    out = n
+    for i, rho in enumerate(caps.rho_caps(s_cap)):
+        out = max(out, D[i] + rho, 2 * caps.cmax[i])
+        for s in range(n):
+            if s != i:
+                out = max(out, _ceil_div(D[i] + caps.jit[s], T[s]))
+        if caps.acc_idx[i]:
+            out = max(out, max(D[i], caps.max_accel[i]) + caps.delta_cap[i])
+            for s in range(n):
+                if s != i and caps.acc_idx[s]:
+                    out = max(out, _ceil_div(D[i] + caps.ajit[s], T[s]))
+    by_id = {t.id: t for t in inst.tasks}
+    for chain in inst.chains:
+        tasks = [by_id[tid] for tid in chain.tasks]
+        out = max(
+            out, sum(t.period_us for t in tasks[1:]) + sum(t.deadline_us for t in tasks)
+        )
+    return out
 
 
 def build_milp(inst: ProblemInstance, policy: str, objective: str) -> MilpModel:
@@ -104,9 +255,8 @@ def build_milp(inst: ProblemInstance, policy: str, objective: str) -> MilpModel:
     exec_cost: list[list[list[int] | None]] = []  # CPU execution per core
     accf_cost: list[list[list[int] | None]] = []  # offload+finalize per core
     accel_time: list[list[int | None]] = []
-    seg_cap: list[list[int]] = []  # upper bound on a segment's CPU-side cost
     for t in tasks:
-        er, ar, et, cap = [], [], [], []
+        er, ar, et = [], [], []
         for seg in t.segments:
             e_k = [seg.exec_us[ct] for ct in ctypes] if seg.impl is not ImplType.HWA else None
             a_k = (
@@ -117,44 +267,20 @@ def build_milp(inst: ProblemInstance, policy: str, objective: str) -> MilpModel:
             er.append(e_k)
             ar.append(a_k)
             et.append(seg.accel_us if seg.impl.may_accelerate else None)
-            cap.append(max(max(e_k) if e_k else 0, max(a_k) if a_k else 0))
         exec_cost.append(er)
         accf_cost.append(ar)
         accel_time.append(et)
-        seg_cap.append(cap)
 
-    acc_idx = [t.accelerable_segments() for t in tasks]
-    cmax = [sum(caps) for caps in seg_cap]
-    max_accel = [max((accel_time[i][j] or 0 for j in acc_idx[i]), default=0) for i in range(n)]
-    sum_accel = [sum(accel_time[i][j] or 0 for j in acc_idx[i]) for i in range(n)]
-    period = [t.period_us for t in tasks]
-    deadline = [t.deadline_us for t in tasks]
-    jit = [release_jitter_bound(inst, t) for t in tasks]
-    ajit = [accel_jitter_bound(inst, t) for t in tasks]
-
-    # Per-segment suspension caps (variable upper bounds; also big-M inputs).
-    ss_cap: list[dict[int, int]] = []
-    for i in range(n):
-        caps = {}
-        for j in acc_idx[i]:
-            e_hw = accel_time[i][j] or 0
-            if policy == NO_CONTENTION:
-                caps[j] = e_hw
-            elif policy == RR:
-                caps[j] = e_hw + sum(max_accel[h] for h in range(n) if h != i)
-            else:
-                caps[j] = e_hw + deadline[i]
-        ss_cap.append(caps)
-    s_cap = [sum(ss_cap[i].values()) for i in range(n)]
+    caps = _BigMs.of(inst)
+    seg_cap, cmax, b_cap, delta_cap = caps.seg_cap, caps.cmax, caps.b_cap, caps.delta_cap
+    acc_idx, max_accel, sum_accel = caps.acc_idx, caps.max_accel, caps.sum_accel
+    period, deadline, jit, ajit = caps.period, caps.deadline, caps.jit, caps.ajit
+    ss_cap = caps.suspension_caps(policy)
+    s_cap = [sum(c.values()) for c in ss_cap]
+    rho_cap = caps.rho_caps(s_cap)
 
     wcrt_grid = [
         checkpoints(deadline[i], [(period[s], jit[s]) for s in range(n) if s != i])
-        for i in range(n)
-    ]
-    rho_cap = [
-        cmax[i]
-        + s_cap[i]
-        + sum(_ceil_div(deadline[i] + jit[s], period[s]) * cmax[s] for s in range(n) if s != i)
         for i in range(n)
     ]
 
@@ -232,16 +358,6 @@ def build_milp(inst: ProblemInstance, policy: str, objective: str) -> MilpModel:
             )
             if acc_idx[i]
             else []
-            for i in range(n)
-        ]
-        b_cap = [max((max_accel[s] for s in range(n) if s != i), default=0) for i in range(n)]
-        delta_cap = [
-            b_cap[i]
-            + sum(
-                _ceil_div(deadline[i] + ajit[s], period[s]) * sum_accel[s]
-                for s in range(n)
-                if s != i and acc_idx[s]
-            )
             for i in range(n)
         ]
         eta: dict[tuple[int, int, int], int] = {}

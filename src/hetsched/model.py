@@ -277,6 +277,20 @@ def validate_instance(inst: ProblemInstance) -> list[Violation]:
         for pos, tid in enumerate(chain.tasks):
             if tid not in seen_tasks:
                 out.append(Violation(f"{cpath}.tasks[{pos}]", f"unknown task id {tid!r}"))
+
+    if not out:
+        # The numeric envelope is the MILP encoder's, so it lives with the encoder.
+        from hetsched.milp.builder import COEFFICIENT_LIMIT, encoding_magnitude
+
+        magnitude = encoding_magnitude(inst)
+        if magnitude >= COEFFICIENT_LIMIT:
+            out.append(
+                Violation(
+                    "tasks",
+                    f"time values too large: the deployment MILP would need a constant of "
+                    f"{magnitude}, at or above 2**40; express the times in a coarser unit",
+                )
+            )
     return out
 
 

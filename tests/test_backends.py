@@ -1,9 +1,12 @@
 """Solver backends: in-process HiGHS, solution-file parsing, external commands."""
 
+import math
 import os
 import stat
+import warnings
 
 import pytest
+import scipy.optimize
 
 from hetsched.milp.backends import (
     ENV_SOLVER_CMD,
@@ -47,6 +50,47 @@ def test_scipy_reports_infeasible():
     assert res.status == INFEASIBLE
     assert not res.has_solution
     assert res.values == {}
+
+
+@pytest.mark.parametrize(
+    "coef, rhs", [(1e300, 1.0), (math.inf, 1.0), (1.0, math.nan)], ids=["1e300", "inf", "nan"]
+)
+def test_scipy_model_error_is_not_infeasible(coef, rhs):
+    # scipy's milp returns status 2 for a HiGHS model error as for a proof of
+    # infeasibility; only the HiGHS status in its message tells them apart.
+    m = tiny_model()
+    m.add_row("bad", [(m.var("x"), coef)], "<=", rhs)
+    res = ScipyBackend().solve(m)
+    assert res.status == ERROR
+    assert "Model error" in res.message
+    assert not res.has_solution
+
+
+def test_scipy_switches_off_feasibility_jump(monkeypatch):
+    seen = []
+    milp = scipy.optimize.milp
+
+    def spy(*args, **kwargs):
+        seen.append(dict(kwargs["options"]))
+        return milp(*args, **kwargs)
+
+    monkeypatch.setattr(scipy.optimize, "milp", spy)
+    assert ScipyBackend().solve(tiny_model()).status == OPTIMAL
+    assert len(seen) == 1
+    assert seen[0]["mip_heuristic_run_feasibility_jump"] is False
+
+
+def test_scipy_solve_emits_no_warning():
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        res = ScipyBackend().solve(tiny_model())
+    assert res.status == OPTIMAL
+
+
+def test_scipy_reports_solver_statistics():
+    res = ScipyBackend().solve(tiny_model())
+    assert isinstance(res.nodes, int) and res.nodes >= 0
+    assert res.dual_bound == pytest.approx(res.objective)
 
 
 def test_parse_cplex_xml_solution():
@@ -149,6 +193,7 @@ def test_external_backend_runs_command(fake_solver):
     assert res.objective == pytest.approx(3.0)
     assert res.values == {"x": 2.0, "y": 0.5}
     assert res.runtime_s > 0
+    assert res.nodes is None and res.dual_bound is None
 
 
 def test_external_backend_reads_command_from_environment(fake_solver, monkeypatch):

@@ -50,6 +50,18 @@ def test_validate_builtin(capsys):
     assert (doc["tasks"], doc["cores"], doc["chains"]) == (9, 6, 8)
 
 
+def test_validate_rejects_times_beyond_the_numeric_envelope(capsys, tmp_path):
+    # At 10**15 HiGHS answered "infeasible (Model error)" for a 50 % load.
+    tasks = [make_task(tid, 4 * 10**15, [seg_cpu(10**15)]) for tid in ("a", "b")]
+    path = tmp_path / "huge.json"
+    path.write_text(instance_to_json(make_instance(tasks, n_cores=1, accelerator=False)))
+    code, out, _ = run(capsys, "validate", "--instance", str(path))
+    assert code == 1
+    doc = json.loads(out)
+    assert doc["valid"] is False
+    assert "2**40" in doc["problems"][0]
+
+
 def test_analyze_published_deployment(capsys):
     code, out, _ = run(
         capsys,

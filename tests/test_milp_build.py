@@ -1,10 +1,11 @@
 """MILP construction: variable/row catalog, grids, determinism, LP round-trip."""
 
 import pytest
-from helpers import make_instance, make_task, seg_cpu, seg_hwa, seg_opt
+from helpers import make_instance, make_task, oracle_corpus_instance, seg_cpu, seg_hwa, seg_opt
 
-from hetsched.analysis import checkpoints, release_jitter_bound
+from hetsched.analysis import OBJECTIVES, POLICIES, checkpoints, release_jitter_bound
 from hetsched.milp import build_milp, write_lp
+from hetsched.milp.builder import encoding_magnitude
 from hetsched.model import ChainSpec, ModelError, builtin_waters
 
 
@@ -225,3 +226,25 @@ def test_lp_text_round_trips_every_row():
     # Response times and latencies are integral in the LP file too.
     assert generals == {v.name for v in model.variables if v.integer and not v.is_binary}
     assert {"R_t0", "R_t1", "L_ch0", "Lmax"} <= generals
+
+
+def _largest_constant(model):
+    mags = [abs(r.rhs) for r in model.rows]
+    mags += [abs(c) for r in model.rows for _, c in r.terms]
+    mags += [abs(b) for v in model.variables for b in (v.lb, v.ub) if b is not None]
+    return max(mags)
+
+
+@pytest.mark.parametrize("index", [None, 0, 5, 16, 40])
+def test_encoding_magnitude_bounds_every_constant(index):
+    # The input check must cover every model the builder writes; on WATERS
+    # the bound is reached.
+    inst = builtin_waters() if index is None else oracle_corpus_instance(index)
+    largest = max(
+        _largest_constant(build_milp(inst, policy, objective))
+        for policy in POLICIES
+        for objective in OBJECTIVES
+    )
+    assert largest <= encoding_magnitude(inst)
+    if index is None:
+        assert largest == encoding_magnitude(inst)

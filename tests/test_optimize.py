@@ -9,7 +9,8 @@ from helpers import make_instance, make_task, oracle_corpus_instance, seg_cpu, s
 
 from hetsched.bruteforce import best_assignment
 from hetsched.milp import INFEASIBLE, MAX_ACCELERATION, OPTIMAL, ScipyBackend, optimize
-from hetsched.model import ChainSpec, instance_from_dict
+from hetsched.milp.builder import COEFFICIENT_LIMIT, encoding_magnitude
+from hetsched.model import ChainSpec, ModelError, instance_from_dict, validate_instance
 
 # Three small instances on which HiGHS's presolve cut off the optimum of the
 # MILP without the aggregated cuts c11e/c18e: it claimed 0.7073 against the
@@ -85,6 +86,71 @@ def test_latency_optimum_is_solved_not_errored():
     ref = best_assignment(inst, "rr", "minmax-lat")
     assert ref.objective == 7_809
     assert res.objective == ref.objective
+
+
+def test_result_reports_solver_statistics():
+    res = optimize(oracle_corpus_instance(16), "rr", "minmax-lat")
+    assert res.ok
+    assert isinstance(res.nodes, int) and res.nodes >= 1
+    assert res.dual_bound == pytest.approx(res.solver_objective, rel=1e-6)
+    d = res.to_dict()
+    assert (d["nodes"], d["dual_bound"]) == (res.nodes, res.dual_bound)
+
+
+class _NodeCountingBackend(ScipyBackend):
+    def __init__(self):
+        self.nodes = []
+
+    def solve(self, *args, **kwargs):
+        res = super().solve(*args, **kwargs)
+        self.nodes.append(res.nodes)
+        return res
+
+
+def test_nodes_sum_over_the_tie_break_resolve():
+    backend = _NodeCountingBackend()
+    inst = oracle_corpus_instance(16)
+    res = optimize(inst, "rr", "minmax-lat", backend=backend, tie_break=MAX_ACCELERATION)
+    assert res.ok
+    assert len(backend.nodes) == 2
+    assert res.nodes == sum(backend.nodes)
+
+
+def _twin(wcet):
+    # Two tasks at 25 % load each on one core, and a chain of the first.  The
+    # largest constant of their MILP is c11b's deadline plus demand cap:
+    # 4 * wcet + 2 * wcet.
+    tasks = [make_task(tid, 4 * wcet, [seg_cpu(wcet)]) for tid in ("a", "b")]
+    chain = ChainSpec(id="ch", tasks=("a",))
+    return make_instance(tasks, n_cores=1, chains=[chain], accelerator=False)
+
+
+ENVELOPE_EDGE = (COEFFICIENT_LIMIT - 1) // 6  # largest WCET _twin accepts
+
+
+def test_instance_just_inside_the_numeric_envelope_solves():
+    inst = _twin(ENVELOPE_EDGE)
+    assert encoding_magnitude(inst) == 6 * ENVELOPE_EDGE < COEFFICIENT_LIMIT
+    assert validate_instance(inst) == []
+    res = optimize(inst, "rr", "minmax-rt")
+    assert res.status == OPTIMAL
+    assert res.verified
+    # Only the analysed objective is exact here: the rt objective weighs a
+    # microsecond by 1/deadline, below HiGHS's dual feasibility tolerance.
+    assert res.objective == Fraction(1, 2)
+    res = optimize(inst, "rr", "minmax-lat")
+    assert res.status == OPTIMAL
+    assert res.verified
+    assert res.objective == res.solver_objective == ENVELOPE_EDGE
+
+
+def test_instance_just_outside_the_numeric_envelope_is_rejected():
+    inst = _twin(ENVELOPE_EDGE + 1)
+    assert encoding_magnitude(inst) >= COEFFICIENT_LIMIT
+    problems = [str(v) for v in validate_instance(inst)]
+    assert len(problems) == 1 and "2**40" in problems[0]
+    with pytest.raises(ModelError, match=r"2\*\*40"):
+        optimize(inst, "rr", "minmax-rt")
 
 
 @pytest.mark.parametrize("case", PRESOLVE_CUTOFFS, ids=lambda c: c["origin"].split()[0])
