@@ -21,6 +21,7 @@ Two WCRT procedures are provided:
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 from fractions import Fraction
 from typing import Iterable, Mapping, Sequence
 
@@ -246,104 +247,175 @@ def rta_fixed_point(
 
 
 # ---------------------------------------------------------------------------
+# Compiled instance: the assignment-independent constants, computed once
+# ---------------------------------------------------------------------------
+
+
+class CompiledInstance:
+    """An index-based view of a :class:`ProblemInstance` for repeated use.
+
+    Tasks and cores are addressed by their position in the instance.  The
+    jitter bounds and checkpoint grids are computed on first use and then
+    kept, so a caller that analyzes many deployments of one instance (the
+    brute-force search) or encodes it (the MILP builder) computes them once,
+    and a fixed-point analysis computes none of them.  Self-suspending views
+    are memoized per (task, core type, accelerated segments).  Treat every
+    attribute as read-only.
+    """
+
+    def __init__(self, inst: ProblemInstance):
+        tasks = inst.tasks
+        self.instance = inst
+        self.task_ids = tuple([t.id for t in tasks])
+        self.task_index = {tid: i for i, tid in enumerate(self.task_ids)}
+        self.core_index = {c.id: k for k, c in enumerate(inst.platform.cores)}
+        self.core_type = tuple([c.type for c in inst.platform.cores])
+        self.period = tuple([t.period_us for t in tasks])
+        self.deadline = tuple([t.deadline_us for t in tasks])
+        self._accel_grid: list[list[int] | None] = [None] * len(tasks)
+        self._views: dict[tuple[int, str, frozenset[int]], SelfSuspendingView] = {}
+
+    @cached_property
+    def accelerable(self) -> tuple[tuple[int, ...], ...]:
+        """Accelerable segments of each task."""
+        return tuple(tuple(t.accelerable_segments()) for t in self.instance.tasks)
+
+    @cached_property
+    def jitter(self) -> tuple[int, ...]:
+        """:func:`release_jitter_bound` of each task."""
+        return tuple(release_jitter_bound(self.instance, t) for t in self.instance.tasks)
+
+    @cached_property
+    def accel_jitter(self) -> tuple[int, ...]:
+        """:func:`accel_jitter_bound` of each task."""
+        return tuple(accel_jitter_bound(self.instance, t) for t in self.instance.tasks)
+
+    def cpu_sources(self, i: int) -> list[tuple[int, int]]:
+        """``(period, release jitter bound)`` of every task but ``i``: the
+        steps of CPU interference every WCRT checkpoint grid includes."""
+        jitter = self.jitter
+        return [(t, jitter[s]) for s, t in enumerate(self.period) if s != i]
+
+    @cached_property
+    def cpu_grid(self) -> tuple[list[int], ...]:
+        """Conservative WCRT checkpoints of each task."""
+        return tuple(checkpoints(d, self.cpu_sources(i)) for i, d in enumerate(self.deadline))
+
+    def accel_grid(self, i: int) -> list[int]:
+        """Checkpoints of task ``i``'s npfp accelerator wait: every other task
+        that may use the accelerator is a source, with its accelerator jitter
+        bound.  Empty for a task that never uses the accelerator."""
+        grid = self._accel_grid[i]
+        if grid is None:
+            acc = self.accelerable
+            if acc[i]:
+                ajit = self.accel_jitter
+                sources = [(t, ajit[s]) for s, t in enumerate(self.period) if s != i and acc[s]]
+                grid = checkpoints(self.deadline[i], sources)
+            else:
+                grid = []
+            self._accel_grid[i] = grid
+        return grid
+
+    def view(self, i: int, core_type: str, accelerated: frozenset[int]) -> SelfSuspendingView:
+        """:func:`map_to_self_suspending` of task ``i``, memoized."""
+        key = (i, core_type, accelerated)
+        v = self._views.get(key)
+        if v is None:
+            v = self._views[key] = map_to_self_suspending(
+                self.instance.tasks[i], core_type, accelerated
+            )
+        return v
+
+    def deploy(self, assign: Assignment) -> tuple[list[int], list[int], list[SelfSuspendingView]]:
+        """Core index, priority and self-suspending view of each task."""
+        core = [self.core_index[assign.core_of[tid]] for tid in self.task_ids]
+        prio = [assign.priority_of[tid] for tid in self.task_ids]
+        views = [
+            self.view(i, self.core_type[k], assign.accelerated_of(tid))
+            for i, (tid, k) in enumerate(zip(self.task_ids, core))
+        ]
+        return core, prio, views
+
+
+# ---------------------------------------------------------------------------
 # Per-request accelerator waiting bounds
 # ---------------------------------------------------------------------------
 
 
-def rr_suspension(views: Mapping[str, SelfSuspendingView], task_id: str) -> tuple[int, ...]:
-    """Round-robin arbitration: before each of our requests runs, every other
-    task can be served at most once, each for its longest request."""
-    others = sum(v.longest_request_us for t, v in views.items() if t != task_id)
-    return tuple(e + others for e in views[task_id].suspensions_us)
+def _npfp_wait(
+    ci: CompiledInstance,
+    prio: Sequence[int],
+    views: Sequence[SelfSuspendingView],
+    i: int,
+    mode: str,
+) -> int | None:
+    """Non-preemptive priority arbitration: the wait before each request of
+    task ``i`` runs, or ``None`` if it cannot be bounded within the deadline.
 
-
-def npfp_suspension_fixed_point(
-    inst: ProblemInstance,
-    assign: Assignment,
-    views: Mapping[str, SelfSuspendingView],
-    task_id: str,
-) -> tuple[int, ...] | None:
-    """Non-preemptive priority arbitration, exact-jitter variant.
-
-    Each request first waits out one blocking lower-priority request plus the
-    higher-priority backlog, obtained as a fixed point; the request's own
-    processing time comes on top.  Returns ``None`` when the backlog cannot be
-    bounded within the task's deadline.
+    A request first waits out one blocking lower-priority request plus the
+    higher-priority backlog.  ``conservative`` mode is the optimizer's twin: it
+    evaluates the backlog on the task's accelerator checkpoint grid, with
+    assignment-independent jitter constants, and takes the demand at the
+    smallest self-consistent point.  Otherwise the backlog is the least fixed
+    point of the exact-jitter recurrence.  Unlike the CPU interference, this
+    compares priorities of tasks on different cores.
     """
-    my_prio = assign.priority_of[task_id]
-    limit = inst.task(task_id).deadline_us
     blocking = 0
-    hp: list[tuple[int, int, int]] = []  # (G, T, D) per higher-priority task
-    for t, v in views.items():
-        if t == task_id or not v.suspends:
+    hp: list[int] = []
+    for s, v in enumerate(views):
+        if s == i or not v.suspends:
             continue
-        other = inst.task(t)
-        if assign.priority_of[t] > my_prio:
-            hp.append((v.total_accel_us, other.period_us, other.deadline_us))
+        if prio[s] > prio[i]:
+            hp.append(s)
         else:
             blocking = max(blocking, v.longest_request_us)
 
+    if mode == CONSERVATIVE:
+        interferers = [(views[s].total_accel_us, ci.period[s], ci.accel_jitter[s]) for s in hp]
+        star = demand_test(blocking, ci.accel_grid(i), interferers)
+        return None if star is None else demand(star, blocking, interferers)
+
+    limit = ci.deadline[i]
+    backlog = [(views[s].total_accel_us, ci.period[s], ci.deadline[s]) for s in hp]
     phi = blocking
     if phi > limit:
         return None
     while True:
-        nxt = blocking + sum(
-            max(0, _ceil_div(phi + d - g, t)) * g for g, t, d in hp
-        )
+        nxt = blocking + sum(max(0, _ceil_div(phi + d - g, t)) * g for g, t, d in backlog)
         if nxt == phi:
-            break
+            return phi
         if nxt > limit:
             return None
         phi = nxt
-    return tuple(phi + e for e in views[task_id].suspensions_us)
 
 
-def npfp_suspension_checkpointed(
-    inst: ProblemInstance,
-    assign: Assignment,
-    views: Mapping[str, SelfSuspendingView],
-    task_id: str,
-) -> tuple[int, ...] | None:
-    """Non-preemptive priority arbitration, optimizer-parity variant.
-
-    Higher-priority accelerator demand is evaluated on a precomputed grid of
-    candidate points built from assignment-independent jitter constants; the
-    waiting bound is the demand at the smallest self-consistent point.
-    """
-    me = inst.task(task_id)
-    my_prio = assign.priority_of[task_id]
-    blocking = 0
-    interferers: list[tuple[int, int, int]] = []
-    sources: list[tuple[int, int]] = []
-    for other in inst.tasks:
-        if other.id == task_id or not other.accelerable_segments():
-            continue
-        sources.append((other.period_us, accel_jitter_bound(inst, other)))
-        v = views[other.id]
+def _suspensions(
+    ci: CompiledInstance,
+    prio: Sequence[int],
+    views: Sequence[SelfSuspendingView],
+    policy: str,
+    mode: str,
+) -> list[tuple[int, ...] | None]:
+    """Per-accelerated-segment suspension bounds of each task, by index."""
+    if policy == RR:
+        longest = [v.longest_request_us for v in views]
+        everyone = sum(longest)
+    out: list[tuple[int, ...] | None] = []
+    for i, v in enumerate(views):
         if not v.suspends:
+            out.append(())
             continue
-        if assign.priority_of[other.id] > my_prio:
-            interferers.append(
-                (v.total_accel_us, other.period_us, accel_jitter_bound(inst, other))
-            )
+        if policy == NO_CONTENTION:
+            wait: int | None = 0
+        elif policy == RR:
+            # Before each of our requests runs, every other task can be
+            # served at most once, each for its longest request.
+            wait = everyone - longest[i]
         else:
-            blocking = max(blocking, v.longest_request_us)
-
-    points = checkpoints(me.deadline_us, sources)
-    star = demand_test(blocking, points, interferers)
-    if star is None:
-        return None
-    wait = demand(star, blocking, interferers)
-    return tuple(wait + e for e in views[task_id].suspensions_us)
-
-
-def build_views(inst: ProblemInstance, assign: Assignment) -> dict[str, SelfSuspendingView]:
-    return {
-        t.id: map_to_self_suspending(
-            t, inst.core(assign.core_of[t.id]).type, assign.accelerated_of(t.id)
-        )
-        for t in inst.tasks
-    }
+            wait = _npfp_wait(ci, prio, views, i, mode)
+        out.append(None if wait is None else tuple(wait + e for e in v.suspensions_us))
+    return out
 
 
 def suspension_bounds(
@@ -355,34 +427,15 @@ def suspension_bounds(
     """Per-accelerated-segment suspension bounds for every task.
 
     A task that never suspends maps to an empty tuple; ``None`` marks a task
-    whose accelerator waiting cannot be bounded within its deadline.
+    whose accelerator waiting cannot be bounded within its deadline.  The npfp
+    bound uses the checkpoint grid in ``conservative`` mode and the
+    exact-jitter fixed point otherwise.
     """
     if policy not in POLICIES:
         raise ModelError(f"unknown policy {policy!r}")
-    return _suspension_bounds(inst, assign, policy, mode, build_views(inst, assign))
-
-
-def _suspension_bounds(
-    inst: ProblemInstance,
-    assign: Assignment,
-    policy: str,
-    mode: str,
-    views: Mapping[str, SelfSuspendingView],
-) -> dict[str, tuple[int, ...] | None]:
-    out: dict[str, tuple[int, ...] | None] = {}
-    for task in inst.tasks:
-        v = views[task.id]
-        if not v.suspends:
-            out[task.id] = ()
-        elif policy == NO_CONTENTION:
-            out[task.id] = tuple(v.suspensions_us)
-        elif policy == RR:
-            out[task.id] = rr_suspension(views, task.id)
-        elif mode == CONSERVATIVE:
-            out[task.id] = npfp_suspension_checkpointed(inst, assign, views, task.id)
-        else:
-            out[task.id] = npfp_suspension_fixed_point(inst, assign, views, task.id)
-    return out
+    ci = inst.compiled
+    _, prio, views = ci.deploy(assign)
+    return dict(zip(ci.task_ids, _suspensions(ci, prio, views, policy, mode)))
 
 
 # ---------------------------------------------------------------------------
@@ -455,15 +508,44 @@ def chain_latency(
     Every link adds its response time plus one sampling period, except the
     head of the chain, whose own period does not delay data it produces.
     """
-    total = 0
-    for pos, tid in enumerate(chain.tasks):
-        r = wcrt.get(tid)
-        if r is None:
-            return None
-        total += r
-        if pos > 0:
-            total += inst.task(tid).period_us
-    return total
+    ci = inst.compiled
+    wcrts = [wcrt.get(tid) for tid in chain.tasks]
+    if None in wcrts:
+        return None
+    return sum(wcrts) + sum([ci.period[ci.task_index[tid]] for tid in chain.tasks[1:]])
+
+
+def _cpu_interferers(
+    ci: CompiledInstance,
+    core: Sequence[int],
+    prio: Sequence[int],
+    views: Sequence[SelfSuspendingView],
+    wcrt: Sequence[int | None],
+    i: int,
+    mode: str,
+) -> list[tuple[int, int, int]] | None:
+    """``(C, T, J)`` of each higher-priority task on task ``i``'s core.
+
+    Only these tasks' priorities relative to ``i`` matter here, which is why
+    the brute-force search may visit per-core priority orders.  ``None`` when
+    an interferer's exact jitter is unbounded because its own WCRT is.
+    """
+    out: list[tuple[int, int, int]] = []
+    for s in range(len(core)):
+        if core[s] != core[i] or prio[s] <= prio[i]:
+            continue
+        v = views[s]
+        if mode == CONSERVATIVE:
+            j = ci.jitter[s]
+        elif v.suspends:
+            r = wcrt[s]
+            if r is None:
+                return None
+            j = r - v.cpu_wcet_us
+        else:
+            j = 0
+        out.append((v.cpu_wcet_us, ci.period[s], j))
+    return out
 
 
 def analyze(
@@ -472,7 +554,12 @@ def analyze(
     policy: str,
     mode: str = EXACT,
 ) -> AnalysisReport:
-    """Response times, suspension bounds and chain latencies for a deployment."""
+    """Response times, suspension bounds and chain latencies for a deployment.
+
+    The analysis reads the instance's :attr:`~ProblemInstance.compiled` view,
+    so analyzing many deployments of one instance computes its constants
+    once.
+    """
     if policy not in POLICIES:
         raise ModelError(f"unknown policy {policy!r}")
     if mode not in MODES:
@@ -480,86 +567,41 @@ def analyze(
     errors = validate_assignment(inst, assign)
     if errors:
         raise ModelError("invalid assignment: " + "; ".join(str(e) for e in errors))
+    ci = inst.compiled
 
-    views = build_views(inst, assign)
-    susp_mode = CONSERVATIVE if mode == CONSERVATIVE else EXACT
-    suspensions = _suspension_bounds(inst, assign, policy, susp_mode, views)
-    # Computed once per call: the checkpoint grid and conservative
-    # interference read them; the fixed-point iteration reads neither.
-    jitter = (
-        {} if mode == FIXED_POINT else {s.id: release_jitter_bound(inst, s) for s in inst.tasks}
-    )
-
-    wcrt: dict[str, int | None] = {}
-    results: dict[str, TaskResult] = {}
+    core, prio, views = ci.deploy(assign)
+    suspensions = _suspensions(ci, prio, views, policy, mode)
+    n = len(prio)
+    wcrt: list[int | None] = [None] * n
     # Decreasing priority, so interferers are analyzed before their victims.
-    for task in sorted(inst.tasks, key=lambda t: -assign.priority_of[t.id]):
-        tid = task.id
-        view = views[tid]
-        per_seg = suspensions[tid]
-        total_susp = None if per_seg is None else sum(per_seg)
+    for i in sorted(range(n), key=prio.__getitem__, reverse=True):
+        per_seg = suspensions[i]
+        if per_seg is None:
+            continue
+        interferers = _cpu_interferers(ci, core, prio, views, wcrt, i, mode)
+        if interferers is None:
+            continue
+        base = views[i].cpu_wcet_us + sum(per_seg)
+        deadline = ci.deadline[i]
+        if mode == FIXED_POINT:
+            wcrt[i] = rta_fixed_point(base, interferers, deadline)
+            continue
+        if mode == CONSERVATIVE:
+            points = ci.cpu_grid[i]
+        else:
+            # Response-time-based jitters add steps of their own.
+            points = checkpoints(deadline, ci.cpu_sources(i) + [(t, j) for _, t, j in interferers])
+        star = demand_test(base, points, interferers)
+        wcrt[i] = None if star is None else demand(star, base, interferers)
 
-        r: int | None = None
-        if total_susp is not None:
-            base = view.cpu_wcet_us + total_susp
-            interferers: list[tuple[int, int, int]] = []
-            extra_sources: list[tuple[int, int]] = []
-            feasible = True
-            for other in inst.tasks:
-                if (
-                    other.id == tid
-                    or assign.core_of[other.id] != assign.core_of[tid]
-                    or assign.priority_of[other.id] <= assign.priority_of[tid]
-                ):
-                    continue
-                ov = views[other.id]
-                if mode == CONSERVATIVE:
-                    j = jitter[other.id]
-                elif ov.suspends:
-                    rh = wcrt[other.id]
-                    if rh is None:
-                        feasible = False
-                        break
-                    j = rh - ov.cpu_wcet_us
-                else:
-                    j = 0
-                interferers.append((ov.cpu_wcet_us, other.period_us, j))
-                extra_sources.append((other.period_us, j))
-
-            if not feasible:
-                r = None
-            elif mode == FIXED_POINT:
-                r = rta_fixed_point(base, interferers, task.deadline_us)
-            else:
-                sources = [
-                    (s.period_us, jitter[s.id])
-                    for s in inst.tasks
-                    if s.id != tid
-                ]
-                if mode == EXACT:
-                    sources.extend(extra_sources)
-                points = checkpoints(task.deadline_us, sources)
-                star = demand_test(base, points, interferers)
-                r = None if star is None else demand(star, base, interferers)
-
-        wcrt[tid] = r
-        results[tid] = TaskResult(
-            task_id=tid,
-            core=assign.core_of[tid],
-            priority=assign.priority_of[tid],
-            cpu_wcet_us=view.cpu_wcet_us,
-            suspension_us=total_susp,
-            wcrt_us=r,
-            deadline_us=task.deadline_us,
-        )
-
-    chains = {c.id: chain_latency(c, wcrt, inst) for c in inst.chains}
-    return AnalysisReport(
-        policy=policy,
-        mode=mode,
-        tasks=tuple(results[t.id] for t in inst.tasks),
-        chain_latency_us=chains,
-    )
+    core_of = assign.core_of
+    results = [
+        TaskResult(tid, core_of[tid], p, v.cpu_wcet_us, None if s is None else sum(s), r, d)
+        for tid, p, v, s, r, d in zip(ci.task_ids, prio, views, suspensions, wcrt, ci.deadline)
+    ]
+    wcrt_of = dict(zip(ci.task_ids, wcrt))
+    chains = {c.id: chain_latency(c, wcrt_of, inst) for c in inst.chains}
+    return AnalysisReport(policy=policy, mode=mode, tasks=tuple(results), chain_latency_us=chains)
 
 
 def evaluate_objective(report: AnalysisReport, objective: str) -> Fraction | None:

@@ -23,7 +23,7 @@ from hetsched.analysis import (
     analyze,
     evaluate_objective,
 )
-from hetsched.bruteforce import best_assignment
+from hetsched.bruteforce import best_assignment, search_space_size
 from hetsched.milp import INFEASIBLE, MAX_ACCELERATION, optimize
 from hetsched.model import (
     Assignment,
@@ -161,6 +161,7 @@ def _cmd_search(args) -> int:
         "assignment": None
         if result.assignment is None
         else assignment_to_dict(result.assignment),
+        "space": search_space_size(inst),
         "evaluated": result.evaluated,
         "feasible": result.feasible,
     }

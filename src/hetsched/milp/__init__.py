@@ -153,7 +153,12 @@ def optimize(
 
     assignment = decode_assignment(model, values)
     verification = verify_solution(
-        inst, assignment, policy, objective, claimed=solver_objective
+        inst,
+        assignment,
+        policy,
+        objective,
+        claimed=solver_objective,
+        proven=res.status == OPTIMAL and mip_gap == 0,
     )
     return OptimizeResult(
         status=status,

@@ -75,10 +75,8 @@ from hetsched.analysis import (
     OBJECTIVES,
     POLICIES,
     RR,
+    CompiledInstance,
     _ceil_div,
-    accel_jitter_bound,
-    checkpoints,
-    release_jitter_bound,
 )
 from hetsched.milp.ir import MilpModel
 from hetsched.model import ImplType, ModelError, ProblemInstance, validate_instance
@@ -100,11 +98,11 @@ class _BigMs:
     those.
     """
 
-    period: list[int]
-    deadline: list[int]
-    jit: list[int]  # release jitter constant (CPU interference)
-    ajit: list[int]  # accelerator jitter constant
-    acc_idx: list[list[int]]  # accelerable segments
+    period: tuple[int, ...]
+    deadline: tuple[int, ...]
+    jit: tuple[int, ...]  # release jitter constant (CPU interference)
+    ajit: tuple[int, ...]  # accelerator jitter constant
+    acc_idx: tuple[tuple[int, ...], ...]  # accelerable segments
     accel: list[list[int]]  # accelerator time of each accelerable segment
     max_accel: list[int]
     sum_accel: list[int]
@@ -114,7 +112,8 @@ class _BigMs:
     delta_cap: list[int]  # npfp accelerator-wait cap (c18b/c18c/c18e)
 
     @classmethod
-    def of(cls, inst: ProblemInstance) -> "_BigMs":
+    def of(cls, ci: CompiledInstance) -> "_BigMs":
+        inst = ci.instance
         tasks = inst.tasks
         n = len(tasks)
         ctypes = {c.type for c in inst.platform.cores}
@@ -130,13 +129,11 @@ class _BigMs:
                         cap = max(cap, seg.offload_us[ct] + seg.finalize_us[ct])
                 caps.append(cap)
             seg_cap.append(caps)
-        acc_idx = [t.accelerable_segments() for t in tasks]
+        acc_idx = ci.accelerable
         accel = [[t.segments[j].accel_us or 0 for j in acc_idx[i]] for i, t in enumerate(tasks)]
         max_accel = [max(a, default=0) for a in accel]
         sum_accel = [sum(a) for a in accel]
-        period = [t.period_us for t in tasks]
-        deadline = [t.deadline_us for t in tasks]
-        ajit = [accel_jitter_bound(inst, t) for t in tasks]
+        period, deadline, ajit = ci.period, ci.deadline, ci.accel_jitter
         b_cap = [max((max_accel[s] for s in range(n) if s != i), default=0) for i in range(n)]
         delta_cap = [
             b_cap[i]
@@ -150,7 +147,7 @@ class _BigMs:
         return cls(
             period=period,
             deadline=deadline,
-            jit=[release_jitter_bound(inst, t) for t in tasks],
+            jit=ci.jitter,
             ajit=ajit,
             acc_idx=acc_idx,
             accel=accel,
@@ -206,7 +203,7 @@ def encoding_magnitude(inst: ProblemInstance) -> int:
     A chain adds the largest value its ``L_ch`` can take: the periods its
     ``lat`` row adds plus the deadlines of its tasks.
     """
-    caps = _BigMs.of(inst)
+    caps = _BigMs.of(inst.compiled)
     D, T = caps.deadline, caps.period
     n = len(D)
     s_cap = [0] * n  # the largest over the policies
@@ -271,18 +268,15 @@ def build_milp(inst: ProblemInstance, policy: str, objective: str) -> MilpModel:
         accf_cost.append(ar)
         accel_time.append(et)
 
-    caps = _BigMs.of(inst)
+    ci = inst.compiled
+    caps = _BigMs.of(ci)
     seg_cap, cmax, b_cap, delta_cap = caps.seg_cap, caps.cmax, caps.b_cap, caps.delta_cap
     acc_idx, max_accel, sum_accel = caps.acc_idx, caps.max_accel, caps.sum_accel
     period, deadline, jit, ajit = caps.period, caps.deadline, caps.jit, caps.ajit
     ss_cap = caps.suspension_caps(policy)
     s_cap = [sum(c.values()) for c in ss_cap]
     rho_cap = caps.rho_caps(s_cap)
-
-    wcrt_grid = [
-        checkpoints(deadline[i], [(period[s], jit[s]) for s in range(n) if s != i])
-        for i in range(n)
-    ]
+    wcrt_grid = ci.cpu_grid
 
     model = MilpModel(name=f"deploy_{policy}_{objective}")
 
@@ -351,15 +345,7 @@ def build_milp(inst: ProblemInstance, policy: str, objective: str) -> MilpModel:
         la = [model.add_var(f"la_t{i}", ub=float(max_accel[i])) for i in range(n)]
 
     if policy == NPFP:
-        accel_grid = [
-            checkpoints(
-                deadline[i],
-                [(period[s], ajit[s]) for s in range(n) if s != i and acc_idx[s]],
-            )
-            if acc_idx[i]
-            else []
-            for i in range(n)
-        ]
+        accel_grid = [ci.accel_grid(i) for i in range(n)]
         eta: dict[tuple[int, int, int], int] = {}
         Hd: dict[tuple[int, int], int] = {}
         b: dict[int, int] = {}

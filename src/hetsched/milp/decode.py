@@ -67,13 +67,17 @@ def verify_solution(
     objective: str,
     claimed: float | None = None,
     tol: float = 1e-6,
+    proven: bool = False,
 ) -> VerificationResult:
     """Independently re-derive the decoded deployment's objective value.
 
     The deployment must be valid and pass the conservative schedulability
     test, and the recomputed objective must not beat the solver's claim by
     more than ``tol`` (the solver may legitimately claim a worse value when
-    stopped early, never a better one).
+    stopped early, never a better one).  A ``proven`` claim, an optimum
+    proved at a zero gap, must not exceed the recomputed objective by more
+    than ``tol`` either: a deployment that beats the proven optimum refutes
+    the proof.
     """
     errors = validate_assignment(inst, assignment)
     if errors:
@@ -102,6 +106,18 @@ def verify_solution(
                 report=report,
                 message=(
                     f"solver claimed {claimed} but the analysis only certifies {float(value)}"
+                ),
+            )
+        if proven and float(value) < claimed - slack:
+            return VerificationResult(
+                ok=False,
+                schedulable=True,
+                objective=value,
+                claimed=claimed,
+                report=report,
+                message=(
+                    f"solver proved {claimed} optimal but its own deployment "
+                    f"analyzes to {float(value)}"
                 ),
             )
     return VerificationResult(

@@ -16,7 +16,11 @@ import json
 import math
 from dataclasses import dataclass, field
 from fractions import Fraction
-from typing import Iterable, Mapping
+from functools import cached_property
+from typing import TYPE_CHECKING, Iterable, Mapping
+
+if TYPE_CHECKING:
+    from hetsched.analysis import CompiledInstance
 
 
 class ImplType(enum.Enum):
@@ -132,6 +136,14 @@ class ProblemInstance:
             if c.id == core_id:
                 return c
         raise KeyError(core_id)
+
+    @cached_property
+    def compiled(self) -> CompiledInstance:
+        """The index-based view that the analysis, the brute-force search and
+        the MILP builder read; built on first use and kept with the instance."""
+        from hetsched.analysis import CompiledInstance  # analysis imports this module
+
+        return CompiledInstance(self)
 
 
 @dataclass(frozen=True)
@@ -299,6 +311,9 @@ def validate_assignment(inst: ProblemInstance, assign: Assignment) -> list[Viola
     permutation of 1..n, acceleration choices respect segment types)."""
     out: list[Violation] = []
     task_ids = [t.id for t in inst.tasks]
+    by_id: dict[str, TaskSpec] = {}
+    for t in inst.tasks:
+        by_id.setdefault(t.id, t)  # the first of duplicates, as inst.task() finds
     core_ids = {c.id for c in inst.platform.cores}
 
     for tid in task_ids:
@@ -309,7 +324,7 @@ def validate_assignment(inst: ProblemInstance, assign: Assignment) -> list[Viola
         if tid not in assign.priority_of:
             out.append(Violation(f"priority_of.{tid}", "missing priority"))
     for tid in assign.core_of:
-        if tid not in task_ids:
+        if tid not in by_id:
             out.append(Violation(f"core_of.{tid}", "unknown task"))
     prios = sorted(assign.priority_of.get(t, 0) for t in task_ids)
     if prios != list(range(1, len(task_ids) + 1)):
@@ -318,10 +333,10 @@ def validate_assignment(inst: ProblemInstance, assign: Assignment) -> list[Viola
         )
 
     for tid, segs in assign.accelerated.items():
-        if tid not in task_ids:
+        if tid not in by_id:
             out.append(Violation(f"accelerated.{tid}", "unknown task"))
             continue
-        task = inst.task(tid)
+        task = by_id[tid]
         for j in segs:
             if not 0 <= j < len(task.segments):
                 out.append(Violation(f"accelerated.{tid}", f"segment index {j} out of range"))
@@ -330,7 +345,7 @@ def validate_assignment(inst: ProblemInstance, assign: Assignment) -> list[Viola
                     Violation(f"accelerated.{tid}", f"segment {j} cannot run on the accelerator")
                 )
     for tid in task_ids:
-        task = inst.task(tid)
+        task = by_id[tid]
         forced = set(task.forced_segments())
         chosen = set(assign.accelerated_of(tid))
         missing = forced - chosen

@@ -3,12 +3,15 @@
 import pytest
 from helpers import CT, assign, make_instance, make_task, seg_cpu, seg_hwa, seg_opt
 
+from hetsched import analysis
 from hetsched.analysis import (
     CONSERVATIVE,
     EXACT,
     FIXED_POINT,
+    MODES,
     NO_CONTENTION,
     NPFP,
+    POLICIES,
     RR,
     accel_jitter_bound,
     analyze,
@@ -353,3 +356,21 @@ def test_report_round_trips_to_dict(waters_reports):
     assert d["schedulable"] is True
     assert {row["id"] for row in d["tasks"]} == {t.id for t in builtin_waters().tasks}
     assert d["chain_latency_us"]["c5"] == 761_584
+
+
+def test_compiled_instance_computes_constants_on_first_use(monkeypatch):
+    waters, asg = builtin_waters(), waters_published_assignment()
+    expected = {(p, m): analyze(waters, asg, p, mode=m) for p in POLICIES for m in MODES}
+    assert waters.compiled is waters.compiled  # one view per instance
+    fresh = builtin_waters()  # its view is not built yet
+
+    def forbidden(*args):
+        raise AssertionError("fixed-point analysis needs no jitter bound or grid")
+
+    for name in ("release_jitter_bound", "accel_jitter_bound", "checkpoints"):
+        monkeypatch.setattr(analysis, name, forbidden)
+    for p in POLICIES:
+        assert analyze(fresh, asg, p, mode=FIXED_POINT) == expected[p, FIXED_POINT]
+    monkeypatch.undo()
+    for (p, m), report in expected.items():
+        assert analyze(fresh, asg, p, mode=m) == report

@@ -1,8 +1,13 @@
 """Exhaustive search: enumeration order, counting, and agreement with the MILP."""
 
-import pytest
-from helpers import make_instance, make_task, seg_cpu, seg_hwa, seg_opt
+import math
+import random
 
+import pytest
+from helpers import make_instance, make_task, random_instance, seg_cpu, seg_hwa, seg_opt
+
+import hetsched.bruteforce
+from hetsched.analysis import CONSERVATIVE, NPFP, OBJECTIVES, POLICIES, analyze, evaluate_objective
 from hetsched.bruteforce import best_assignment, enumerate_assignments, search_space_size
 from hetsched.milp import optimize
 from hetsched.model import ChainSpec, ModelError, validate_assignment
@@ -50,8 +55,10 @@ def test_limit_guards_against_exponential_blowup(duo):
 def test_finds_the_known_optimum(duo):
     res = best_assignment(duo, "rr", "minmax-lat")
     assert res.objective == 29_500
-    assert res.evaluated == 16
-    assert 0 < res.feasible < 16
+    # Three mapped orders (both tasks on c0 in either order, on c1 likewise,
+    # or apart) times two acceleration choices.
+    assert res.evaluated == 12
+    assert 0 < res.feasible < 12
     assert res.assignment.accelerated_of("t2") == frozenset({0})
     assert res.assignment.core_of["t1"] != res.assignment.core_of["t2"]
 
@@ -80,3 +87,63 @@ def test_ties_resolve_to_the_first_candidate():
     inst = make_instance([t], n_cores=2)
     res = best_assignment(inst, "rr", "minmax-rt")
     assert res.assignment.core_of["t"] == "c0"  # both cores tie; first wins
+
+
+def test_npfp_search_keeps_every_global_order(duo):
+    assert best_assignment(duo, NPFP, "minmax-lat").evaluated == 16
+
+
+def _tiny_instances():
+    """Eight instances with at least two tasks and two cores, where per-core
+    orders are fewer than global ones."""
+    rng = random.Random(11)
+    out = []
+    while len(out) < 8:
+        inst = random_instance(rng, max_tasks=3, max_cores=3)
+        if len(inst.tasks) > 1 and len(inst.platform.cores) > 1:
+            out.append(inst)
+    return out
+
+
+def _distinct_orders(inst) -> int:
+    """(n+m-1)!/(m-1)! mapped per-core orders times the acceleration choices."""
+    n, m = len(inst.tasks), len(inst.platform.cores)
+    optional = sum(
+        len(set(t.accelerable_segments()) - set(t.forced_segments())) for t in inst.tasks
+    )
+    return math.factorial(n + m - 1) // math.factorial(m - 1) * 2**optional
+
+
+@pytest.mark.parametrize("k", range(8))
+def test_search_matches_the_full_enumeration(k):
+    inst = _tiny_instances()[k]
+    cands = list(enumerate_assignments(inst))
+    for policy in POLICIES:
+        reports = [analyze(inst, c, policy, mode=CONSERVATIVE) for c in cands]
+        for objective in OBJECTIVES:
+            values = [evaluate_objective(r, objective) for r in reports]
+            feasible = [v for v in values if v is not None]
+            res = best_assignment(inst, policy, objective)
+            if not feasible:
+                assert res.objective is None and res.assignment is None
+                continue
+            assert res.objective == min(feasible), (policy, objective)
+            # Ties resolve as in the full enumeration: its first optimum.
+            assert res.assignment == cands[values.index(res.objective)]
+        expected = search_space_size(inst) if policy == NPFP else _distinct_orders(inst)
+        assert res.evaluated == expected, policy
+
+
+@pytest.mark.parametrize("policy", POLICIES)
+def test_search_analyzes_through_the_module_attribute(monkeypatch, duo, policy):
+    # Tracing wraps this attribute to time the search's analyses.
+    calls = []
+    real = hetsched.bruteforce.analyze
+
+    def counting(*args, **kwargs):
+        calls.append(1)
+        return real(*args, **kwargs)
+
+    monkeypatch.setattr(hetsched.bruteforce, "analyze", counting)
+    res = best_assignment(duo, policy, "minsum-lat")
+    assert len(calls) == res.evaluated

@@ -245,7 +245,8 @@ def test_search_matches_optimizer(capsys, duo_files):
     assert code == 0
     doc = json.loads(out)
     assert doc["objective"] == 29_500.0
-    assert doc["evaluated"] == 16
+    assert doc["space"] == 16
+    assert doc["evaluated"] == 12
 
 
 def test_simulate_published_deployment(capsys):

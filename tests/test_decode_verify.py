@@ -88,6 +88,15 @@ def test_verify_accepts_slightly_worse_claim(two_task):
     assert res.ok  # solver stopped early with a loose bound: still sound
 
 
+def test_verify_flags_a_proven_claim_its_deployment_beats(two_task):
+    asg = assign({"t1": "c0", "t2": "c1"}, {"t1": 2, "t2": 1})
+    res = verify_solution(two_task, asg, "rr", "minmax-lat", claimed=28_500.0, proven=True)
+    assert not res.ok
+    assert res.objective == 28_000
+    assert "proved 28500.0 optimal" in res.message
+    assert verify_solution(two_task, asg, "rr", "minmax-lat", claimed=28_000.0, proven=True).ok
+
+
 def test_verify_flags_overly_optimistic_claim(two_task):
     asg = assign({"t1": "c0", "t2": "c1"}, {"t1": 2, "t2": 1})
     res = verify_solution(two_task, asg, "rr", "minmax-lat", claimed=27_000.0)

@@ -134,10 +134,12 @@ def test_instance_just_inside_the_numeric_envelope_solves():
     assert validate_instance(inst) == []
     res = optimize(inst, "rr", "minmax-rt")
     assert res.status == OPTIMAL
-    assert res.verified
-    # Only the analysed objective is exact here: the rt objective weighs a
-    # microsecond by 1/deadline, below HiGHS's dual feasibility tolerance.
+    # Either priority order analyzes to 1/2.  HiGHS's own claim is not exact
+    # at this scale (the rt objective weighs a microsecond by 1/deadline, below
+    # its dual feasibility tolerance), so the claim is verified exactly when
+    # it matches the analysis.
     assert res.objective == Fraction(1, 2)
+    assert res.verified == (res.solver_objective == pytest.approx(0.5, rel=1e-6))
     res = optimize(inst, "rr", "minmax-lat")
     assert res.status == OPTIMAL
     assert res.verified
@@ -172,6 +174,28 @@ class _ZeroClockBackend(ScipyBackend):
         res = super().solve(*args, **kwargs)
         res.runtime_s = 0.0
         return res
+
+
+class _InflatedClaimBackend(ScipyBackend):
+    """HiGHS, but claiming an optimum one above the one it found."""
+
+    def solve(self, *args, **kwargs):
+        res = super().solve(*args, **kwargs)
+        res.objective += 1.0
+        return res
+
+
+def test_proven_optimum_above_the_analysis_is_not_verified(tiny):
+    # At a zero gap the claim is a proof, and the returned deployment refutes
+    # it; at a positive gap a claim worse than the deployment is allowed.
+    res = optimize(tiny, "rr", "minsum-rt", backend=_InflatedClaimBackend())
+    assert res.status == OPTIMAL
+    assert res.solver_objective == pytest.approx(float(res.objective) + 1.0)
+    assert not res.verified and not res.ok
+    assert "proved" in res.message
+    res = optimize(tiny, "rr", "minsum-rt", mip_gap=0.5, backend=_InflatedClaimBackend())
+    assert res.status == OPTIMAL
+    assert res.verified and res.ok
 
 
 def test_runtime_covers_the_whole_call(tiny):
