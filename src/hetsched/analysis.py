@@ -281,6 +281,11 @@ class CompiledInstance:
         return tuple(tuple(t.accelerable_segments()) for t in self.instance.tasks)
 
     @cached_property
+    def min_cpu(self) -> tuple[int, ...]:
+        """:func:`min_cpu_wcet` of each task."""
+        return tuple(min_cpu_wcet(self.instance, t) for t in self.instance.tasks)
+
+    @cached_property
     def jitter(self) -> tuple[int, ...]:
         """:func:`release_jitter_bound` of each task."""
         return tuple(release_jitter_bound(self.instance, t) for t in self.instance.tasks)

@@ -6,6 +6,7 @@ writer, backends, decoder) are importable individually.
 
 from __future__ import annotations
 
+import functools
 import time
 from dataclasses import dataclass
 from fractions import Fraction
@@ -50,8 +51,9 @@ class OptimizeResult:
     runtime_s: float  # the whole call: build, solve(s), decode and verify
     model_stats: dict
     message: str = ""
-    nodes: int | None = None  # branch-and-bound nodes, summed over the tie-break re-solve
+    nodes: int | None = None  # branch-and-bound nodes, summed over every solve of the call
     dual_bound: float | None = None  # the solver's proven bound on solver_objective
+    resolved_without_presolve: bool = False  # a refuted proof was solved again
 
     @property
     def ok(self) -> bool:
@@ -73,6 +75,7 @@ class OptimizeResult:
             "message": self.message,
             "nodes": self.nodes,
             "dual_bound": self.dual_bound,
+            "resolved_without_presolve": self.resolved_without_presolve,
         }
 
 
@@ -95,6 +98,45 @@ def _pin_and_maximize_acceleration(model: MilpModel, incumbent: float) -> None:
     model.set_objective(accel_vars)
 
 
+@dataclass(frozen=True)
+class _Attempt:
+    """One pass of :func:`optimize`: the main solve and, if it found a
+    deployment, that deployment and its verification."""
+
+    res: SolveResult
+    status: str
+    nodes: int | None  # summed over the tie-break re-solve
+    assignment: Assignment | None = None
+    verification: VerificationResult | None = None
+
+
+def _solve_and_verify(
+    inst, model, backend, policy, objective, time_limit, mip_gap, tie_break, **options
+) -> _Attempt:
+    res = backend.solve(model, time_limit=time_limit, mip_gap=mip_gap, **options)
+    if not res.has_solution:
+        return _Attempt(res=res, status=res.status, nodes=res.nodes)
+    status, values, nodes = res.status, res.values, res.nodes
+    if tie_break == MAX_ACCELERATION and res.objective is not None:
+        _pin_and_maximize_acceleration(model, res.objective)
+        res2 = backend.solve(model, time_limit=time_limit, mip_gap=mip_gap, **options)
+        if nodes is not None and res2.nodes is not None:
+            nodes += res2.nodes
+        if res2.has_solution:
+            values = res2.values
+            status = res2.status if status == OPTIMAL else status
+    assignment = decode_assignment(model, values)
+    verification = verify_solution(
+        inst,
+        assignment,
+        policy,
+        objective,
+        claimed=res.objective,
+        proven=res.status == OPTIMAL and mip_gap == 0,
+    )
+    return _Attempt(res, status, nodes, assignment, verification)
+
+
 def optimize(
     inst: ProblemInstance,
     policy: str,
@@ -110,7 +152,15 @@ def optimize(
     The returned objective value is recomputed from the decoded deployment by
     the conservative analysis, so a successful result is certified
     end-to-end rather than taken on the solver's word.
+
+    When HiGHS proves an optimum that its own deployment beats, the model is
+    solved once more with HiGHS's presolve off, and that answer is reported
+    (``resolved_without_presolve``).  On small seeded instances, presolve
+    occasionally cut off the optimum, and each such case seen solved right
+    without it.
     """
+    if tie_break not in (None, MAX_ACCELERATION):
+        raise ValueError(f"unknown tie_break {tie_break!r}")
     start = time.perf_counter()
     model = build_milp(inst, policy, objective)
     stats = model.stats()
@@ -119,60 +169,49 @@ def optimize(
     if backend is None or isinstance(backend, str):
         backend = get_backend(backend)
 
-    res = backend.solve(model, time_limit=time_limit, mip_gap=mip_gap)
-    if not res.has_solution:
-        return OptimizeResult(
-            status=res.status,
-            objective=None,
-            solver_objective=res.objective,
-            assignment=None,
-            report=None,
-            verified=False,
-            gap=res.gap,
-            runtime_s=time.perf_counter() - start,
-            model_stats=stats,
-            message=res.message,
-            nodes=res.nodes,
-            dual_bound=res.dual_bound,
-        )
-
-    solver_objective = res.objective
-    status = res.status
-    values = res.values
-    nodes = res.nodes
-    if tie_break == MAX_ACCELERATION and solver_objective is not None:
-        _pin_and_maximize_acceleration(model, solver_objective)
-        res2 = backend.solve(model, time_limit=time_limit, mip_gap=mip_gap)
-        if nodes is not None and res2.nodes is not None:
-            nodes += res2.nodes
-        if res2.has_solution:
-            values = res2.values
-            status = res2.status if status == OPTIMAL else status
-    elif tie_break is not None and tie_break != MAX_ACCELERATION:
-        raise ValueError(f"unknown tie_break {tie_break!r}")
-
-    assignment = decode_assignment(model, values)
-    verification = verify_solution(
+    solve = functools.partial(
+        _solve_and_verify,
         inst,
-        assignment,
-        policy,
-        objective,
-        claimed=solver_objective,
-        proven=res.status == OPTIMAL and mip_gap == 0,
+        backend=backend,
+        policy=policy,
+        objective=objective,
+        time_limit=time_limit,
+        mip_gap=mip_gap,
+        tie_break=tie_break,
     )
+    attempt = solve(model)
+    nodes = attempt.nodes
+    resolved = False
+    if (
+        isinstance(backend, ScipyBackend)
+        and attempt.verification is not None
+        and attempt.verification.refutes_proof
+    ):
+        # The tie-break pinned the first model's objective to the refuted claim.
+        if tie_break is not None:
+            model = build_milp(inst, policy, objective)
+        retry = solve(model, presolve=False)
+        resolved = True
+        if nodes is not None and retry.nodes is not None:
+            nodes += retry.nodes
+        if retry.verification is not None:
+            attempt = retry
+
+    res, verification = attempt.res, attempt.verification
     return OptimizeResult(
-        status=status,
-        objective=verification.objective,
-        solver_objective=solver_objective,
-        assignment=assignment,
-        report=verification.report,
-        verified=verification.ok,
+        status=attempt.status,
+        objective=None if verification is None else verification.objective,
+        solver_objective=res.objective,
+        assignment=attempt.assignment,
+        report=None if verification is None else verification.report,
+        verified=verification is not None and verification.ok,
         gap=res.gap,
         runtime_s=time.perf_counter() - start,
         model_stats=stats,
-        message=verification.message or res.message,
+        message=(verification is not None and verification.message) or res.message,
         nodes=nodes,
         dual_bound=res.dual_bound,
+        resolved_without_presolve=resolved,
     )
 
 

@@ -85,6 +85,7 @@ class ScipyBackend:
         model: MilpModel,
         time_limit: float | None = None,
         mip_gap: float | None = 0.0,
+        presolve: bool = True,
     ) -> SolveResult:
         import numpy as np
         from scipy import sparse
@@ -117,7 +118,11 @@ class ScipyBackend:
             A = sparse.csr_matrix((data, (rows_ix, cols_ix)), shape=(len(model.rows), nv))
             constraints = LinearConstraint(A, lo, hi)
 
-        options: dict = {"disp": False, "mip_heuristic_run_feasibility_jump": False}
+        options: dict = {
+            "disp": False,
+            "presolve": presolve,
+            "mip_heuristic_run_feasibility_jump": False,
+        }
         if time_limit is not None:
             options["time_limit"] = float(time_limit)
         if mip_gap is not None:

@@ -1,21 +1,20 @@
 """Assemble the joint deployment MILP.
 
 The program simultaneously decides task-to-core mapping, a global priority
-permutation, and per-segment acceleration, subject to every task passing the
+order, and per-segment acceleration, subject to every task passing the
 checkpoint-based schedulability test used by the ``conservative`` analysis
 mode.  Demand is linearized by precomputing the interference multiplier
 ``ceil((v + J) / T)`` at every checkpoint ``v`` with assignment-independent
 jitter constants; a binary per checkpoint picks the one that certifies the
 response time.
 
-Variable families (one LP column each, ``t{i}``/``k{k}``/``j{j}``/``p{p}``/
-``g{g}`` are task, core, segment, priority and checkpoint indices; the legend
-lives in ``model.meta``):
+Variable families (one LP column each, ``t{i}``/``k{k}``/``j{j}``/``g{g}``
+are task, core, segment and checkpoint indices; the legend lives in
+``model.meta``):
 
 ===========================  ====================================================
 ``x_t{i}_k{k}``              task i runs on core k
 ``spk/sp``                   linearized same-core indicators per task pair
-``pr_t{i}_p{p}``, ``P_t{i}`` priority permutation matrix and priority level
 ``hp_t{i}_t{s}``             1 iff i has higher priority than s
 ``a_t{i}_j{j}``              segment j of i runs on the accelerator
 ``eseg/e``                   CPU-side WCET per segment / per task
@@ -27,6 +26,17 @@ lives in ``model.meta``):
                              blocking, and checkpointed waiting
 ``L_ch{x}/Lmax/RTmax``       objective auxiliaries
 ===========================  ====================================================
+
+The priorities are a linear order on ``hp`` alone (Grötschel, Jünger &
+Reinelt, "A cutting plane algorithm for the linear ordering problem",
+Oper. Res. 1984): ``c5`` orders every pair one way, and the triangle rows
+``c6a``/``c6b`` (``hp_is + hp_su + hp_ui <= 2``, one row per direction of
+each three-task cycle) exclude every cycle, because a tournament without a
+cyclic triangle is transitive.  Every priority permutation satisfies them and
+gives back its own ``hp``; the decoder reads task i's level as
+``1 + #{s : hp_is = 1}``.  They replace ``n**2`` assignment binaries, a
+level column per task and two big-M rows per ordered pair linking the levels
+to ``hp``.
 
 ``R_t{i}``, ``L_ch{x}`` and ``Lmax`` are general integers.  Every term of the
 checkpoint WCRT is a whole number of microseconds (costs, suspension caps,
@@ -54,6 +64,38 @@ the benchmark's ``waters-optimize`` workload take 4 nodes instead of 7,085.
   ``delta_g >= b_i + sum_s coef * Hd_{s,i}`` with every ``coef >= 1``.  When
   the segment is not accelerated the row is slack, because ``b_i`` and the
   ``Hd`` columns are bounded so that their sum is at most ``delta_cap_i``.
+
+Two more rows tighten the relaxation without cutting off a deployment:
+
+* ``c10m_t{i}_t{s}``: ``I_{i,s} >= emin_i * (hp_{i,s} + sp_{i,s} - 1)``, the
+  lower half of the McCormick envelope (McCormick, Math. Prog. 1976) that
+  ``c10`` lacks; ``emin_i`` is :func:`~hetsched.analysis.min_cpu_wcet`.  The
+  right-hand side is positive only when ``i`` outranks ``s`` on its core,
+  and then ``c10`` already asks ``I_{i,s} >= e_i``, while ``c8``/``c9`` give
+  ``e_i >= emin_i`` for every core and acceleration choice.
+* Per-checkpoint big-Ms: checkpoint ``g`` of task ``i`` at ``v_g`` caps its
+  demand at ``rc_g = cmax_i + s_cap_i + sum_s ceil((v_g + J_s) / T_s) *
+  cmax_s``, which is ``c11a``'s right-hand side with every column at its
+  upper bound, so the least feasible ``rho_{i,g}`` never exceeds it.  It
+  bounds ``rho_{i,g}``, is the big-M of ``c11c``, and ``c11b`` reads
+  ``rho_{i,g} + (rc_g - v_g) * y_{i,g} <= rc_g``: ``rho <= v_g`` when the
+  checkpoint is chosen and ``rho <= rc_g`` otherwise, for either sign of
+  ``rc_g - v_g``.  The grid ends at ``D_i``, so ``rc_g`` is at most the old
+  single cap of the task.
+
+With these three changes (2 vCPUs, HiGHS 1.12.0; whole ``optimize`` calls,
+parent then change), WATERS rr min-sum response time took 27.3 s and 5,686
+nodes before and 5.3 s and 892 nodes after; rr min-sum latency 21.4 s and
+3,210 nodes before, 8.3 s and 494 after; npfp min-sum latency 16.2 s and
+2,914 nodes before, 9.0 s and 1,538 after; the nocontention min-max latency
+tie-break needs 2 nodes instead of 110.  The rr min-max latency solve got
+slower (0.4 s to 1.0 s, one node both times) and the three min-max response
+time solves of ``waters-optimize`` faster.  On the 480 tiny solves of the
+benchmark's ``small-oracle`` (seed 1) HiGHS took 5.85 s and 443 nodes before
+and 5.09 s and 436 nodes after.  Without ``c10m`` the small-oracle gain
+disappears (seeds 3 and 4: 6.31 and 7.57 s against 5.15 and 6.57 s, 421 and
+585 nodes against 410 and 425).  The largest constant on WATERS fell from
+3,007,021 to 2,607,021.
 
 A smaller encoding with one symmetric ``sp`` column per unordered task pair
 (the solver only needs ``sp >= x_ik + x_sk - 1``) halves the WATERS model,
@@ -176,14 +218,19 @@ class _BigMs:
             out.append(caps)
         return out
 
-    def rho_caps(self, s_cap: list[int]) -> list[int]:
-        """Cap on each task's demand at any checkpoint (``c11b``/``c11c``)."""
+    def rho_caps(self, s_cap: list[int], grid: tuple[list[int], ...]) -> list[list[int]]:
+        """Cap on each task's demand at each of its checkpoints (``rho``
+        bounds, ``c11b``/``c11c``): the ``c11a`` right-hand side with every
+        column at its upper bound."""
         n = len(self.deadline)
-        D, T, jit, cmax = self.deadline, self.period, self.jit, self.cmax
+        T, jit, cmax = self.period, self.jit, self.cmax
         return [
-            cmax[i]
-            + s_cap[i]
-            + sum(_ceil_div(D[i] + jit[s], T[s]) * cmax[s] for s in range(n) if s != i)
+            [
+                cmax[i]
+                + s_cap[i]
+                + sum(_ceil_div(nu + jit[s], T[s]) * cmax[s] for s in range(n) if s != i)
+                for nu in grid[i]
+            ]
             for i in range(n)
         ]
 
@@ -194,14 +241,16 @@ def encoding_magnitude(inst: ProblemInstance) -> int:
     policy and objective.
 
     Every checkpoint grid ends at the deadline ``D_i``, so each row family
-    peaks there.  The candidates are ``c11b``'s ``D_i + rho_cap_i``, which
-    covers ``c11c``, ``c12``-``c14``, the ``rt`` rows and every ``rho``,
-    ``sseg``, ``s`` and ``Hd`` bound; ``c10``'s ``2 * cmax_i``, which covers
-    ``c8`` and the ``e``/``I`` bounds; npfp's ``max(D_i, e_hw) + delta_cap_i``
-    of ``c18b``/``c18c``/``c18e``, which covers ``c16``/``c17a``; the demand
-    multipliers of ``c11a`` and ``c18a``; and the task count of ``c4``/``c6``.
-    A chain adds the largest value its ``L_ch`` can take: the periods its
-    ``lat`` row adds plus the deadlines of its tasks.
+    peaks there.  The candidates are the demand cap at ``D_i``, which covers
+    ``c11b``/``c11c`` (``|rc_g - v_g|`` is at most ``max(rc_g, v_g)``),
+    ``c13``/``c14`` and every ``rho``, ``sseg``, ``s`` and ``Hd`` bound;
+    ``D_i`` itself, of the ``R`` bound and the ``rt`` rows; ``c10``'s
+    ``2 * cmax_i``, which covers ``c8``, ``c10m`` and the ``e``/``I``
+    bounds; npfp's ``max(D_i, e_hw) + delta_cap_i`` of
+    ``c18b``/``c18c``/``c18e``, which covers ``c16``/``c17a``; the demand
+    multipliers of ``c11a`` and ``c18a``; and the right-hand side 2 of the
+    ``c6`` triangle rows.  A chain adds the largest value its ``L_ch`` can
+    take: the periods its ``lat`` row adds plus the deadlines of its tasks.
     """
     caps = _BigMs.of(inst.compiled)
     D, T = caps.deadline, caps.period
@@ -210,9 +259,9 @@ def encoding_magnitude(inst: ProblemInstance) -> int:
     for policy in POLICIES:
         for i, ss in enumerate(caps.suspension_caps(policy)):
             s_cap[i] = max(s_cap[i], sum(ss.values()))
-    out = n
-    for i, rho in enumerate(caps.rho_caps(s_cap)):
-        out = max(out, D[i] + rho, 2 * caps.cmax[i])
+    out = 2
+    for i, (rc,) in enumerate(caps.rho_caps(s_cap, tuple([d] for d in D))):
+        out = max(out, rc, D[i], 2 * caps.cmax[i])
         for s in range(n):
             if s != i:
                 out = max(out, _ceil_div(D[i] + caps.jit[s], T[s]))
@@ -275,8 +324,9 @@ def build_milp(inst: ProblemInstance, policy: str, objective: str) -> MilpModel:
     period, deadline, jit, ajit = caps.period, caps.deadline, caps.jit, caps.ajit
     ss_cap = caps.suspension_caps(policy)
     s_cap = [sum(c.values()) for c in ss_cap]
-    rho_cap = caps.rho_caps(s_cap)
     wcrt_grid = ci.cpu_grid
+    rho_cap = caps.rho_caps(s_cap, wcrt_grid)
+    emin = ci.min_cpu
 
     model = MilpModel(name=f"deploy_{policy}_{objective}")
 
@@ -292,9 +342,6 @@ def build_milp(inst: ProblemInstance, policy: str, objective: str) -> MilpModel:
             for k in range(m):
                 spk[i, s, k] = model.add_binary(f"spk_t{i}_t{s}_k{k}")
             sp[i, s] = model.add_var(f"sp_t{i}_t{s}", lb=0.0, ub=1.0)
-
-    pr = [[model.add_binary(f"pr_t{i}_p{p}") for p in range(1, n + 1)] for i in range(n)]
-    P = [model.add_var(f"P_t{i}", lb=1.0, ub=float(n)) for i in range(n)]
 
     hp: dict[tuple[int, int], int] = {}
     for i in range(n):
@@ -327,7 +374,7 @@ def build_milp(inst: ProblemInstance, policy: str, objective: str) -> MilpModel:
                 I[i, s] = model.add_var(f"I_t{i}_t{s}", ub=float(cmax[i]))
 
     rho = [
-        [model.add_var(f"rho_t{i}_g{g}", ub=float(rho_cap[i])) for g in range(len(wcrt_grid[i]))]
+        [model.add_var(f"rho_t{i}_g{g}", ub=float(rc)) for g, rc in enumerate(rho_cap[i])]
         for i in range(n)
     ]
     y = [
@@ -397,31 +444,26 @@ def build_milp(inst: ProblemInstance, policy: str, objective: str) -> MilpModel:
             )
 
     # ------------------------------------------------------------ priorities
-    for i in range(n):
-        model.add_row(f"c3a_t{i}", [(pr[i][p], 1.0) for p in range(n)], "==", 1.0)
-    for p in range(n):
-        model.add_row(f"c3b_p{p + 1}", [(pr[i][p], 1.0) for i in range(n)], "==", 1.0)
-    for i in range(n):
-        model.add_row(
-            f"c4_t{i}",
-            [(P[i], 1.0)] + [(pr[i][p], -float(p + 1)) for p in range(n)],
-            "==",
-            0.0,
-        )
+    # hp is a strict linear order: one direction per pair (c5) and no cycle
+    # through three tasks (c6, one row per direction of the cycle).
     for i in range(n):
         for s in range(i + 1, n):
             model.add_row(f"c5_t{i}_t{s}", [(hp[i, s], 1.0), (hp[s, i], 1.0)], "==", 1.0)
     for i in range(n):
-        for s in range(n):
-            if s == i:
-                continue
-            # hp[i,s] = 1  <=>  P_i > P_s (larger value means higher priority)
-            model.add_row(
-                f"c6a_t{i}_t{s}", [(P[s], 1.0), (P[i], -1.0), (hp[i, s], float(n))], ">=", 0.0
-            )
-            model.add_row(
-                f"c6b_t{i}_t{s}", [(P[s], 1.0), (P[i], -1.0), (hp[i, s], float(n))], "<=", float(n)
-            )
+        for s in range(i + 1, n):
+            for u in range(s + 1, n):
+                model.add_row(
+                    f"c6a_t{i}_t{s}_t{u}",
+                    [(hp[i, s], 1.0), (hp[s, u], 1.0), (hp[u, i], 1.0)],
+                    "<=",
+                    2.0,
+                )
+                model.add_row(
+                    f"c6b_t{i}_t{s}_t{u}",
+                    [(hp[i, u], 1.0), (hp[u, s], 1.0), (hp[s, i], 1.0)],
+                    "<=",
+                    2.0,
+                )
 
     # ------------------------------------------- per-segment CPU-side WCET
     for i, t in enumerate(tasks):
@@ -463,20 +505,25 @@ def build_milp(inst: ProblemInstance, policy: str, objective: str) -> MilpModel:
                 ">=",
                 -2.0 * cap,
             )
+            # I[i,s] >= emin_i * (hp[i,s] + sp[i,s] - 1)
+            model.add_row(
+                f"c10m_t{i}_t{s}",
+                [(I[i, s], 1.0), (hp[i, s], -float(emin[i])), (sp[i, s], -float(emin[i]))],
+                ">=",
+                -float(emin[i]),
+            )
 
     # ----------------------------------------------- checkpointed WCRT test
     for i in range(n):
-        cap = float(rho_cap[i])
         for g, nu in enumerate(wcrt_grid[i]):
+            cap = float(rho_cap[i][g])
             terms = [(rho[i][g], 1.0), (e[i], -1.0), (s_var[i], -1.0)]
             for s in range(n):
                 if s != i:
                     coef = _ceil_div(nu + jit[s], period[s])
                     terms.append((I[s, i], -float(coef)))
             model.add_row(f"c11a_t{i}_g{g}", terms, ">=", 0.0)
-            model.add_row(
-                f"c11b_t{i}_g{g}", [(rho[i][g], 1.0), (y[i][g], cap)], "<=", float(nu) + cap
-            )
+            model.add_row(f"c11b_t{i}_g{g}", [(rho[i][g], 1.0), (y[i][g], cap - nu)], "<=", cap)
             model.add_row(
                 f"c11c_t{i}_g{g}",
                 [(R[i], 1.0), (rho[i][g], -1.0), (y[i][g], -cap)],
@@ -493,7 +540,6 @@ def build_milp(inst: ProblemInstance, policy: str, objective: str) -> MilpModel:
             ">=",
             0.0,
         )
-        model.add_row(f"c12_t{i}", [(R[i], 1.0)], "<=", float(deadline[i]))
 
     # ------------------------------------------------------- suspension bounds
     if policy == RR:

@@ -34,13 +34,15 @@ def decode_assignment(model: MilpModel, values: dict[str, float]) -> Assignment:
             raise SolutionDecodeError(f"task {tid} is mapped to {len(chosen)} cores")
         core_of[tid] = cores[chosen[0]]
 
-    priority_of = {}
-    for i, tid in enumerate(tasks):
-        levels = [p for p in range(1, len(tasks) + 1) if _binary(values, f"pr_t{i}_p{p}")]
-        if len(levels) != 1:
-            raise SolutionDecodeError(f"task {tid} holds {len(levels)} priority levels")
-        priority_of[tid] = levels[0]
-    if sorted(priority_of.values()) != list(range(1, len(tasks) + 1)):
+    # A task's priority is one more than the number of tasks it outranks.
+    # With one direction per pair (``c5``), these levels form a permutation
+    # exactly when ``hp`` has no cycle.
+    n = len(tasks)
+    priority_of = {
+        tid: 1 + sum(_binary(values, f"hp_t{i}_t{s}") for s in range(n) if s != i)
+        for i, tid in enumerate(tasks)
+    }
+    if sorted(priority_of.values()) != list(range(1, n + 1)):
         raise SolutionDecodeError("priorities do not form a permutation")
 
     accelerated = {}
@@ -58,6 +60,7 @@ class VerificationResult:
     claimed: float | None  # the solver's objective value, if any
     report: AnalysisReport
     message: str = ""
+    refutes_proof: bool = False  # the deployment beats a proven optimum
 
 
 def verify_solution(
@@ -119,6 +122,7 @@ def verify_solution(
                     f"solver proved {claimed} optimal but its own deployment "
                     f"analyzes to {float(value)}"
                 ),
+                refutes_proof=True,
             )
     return VerificationResult(
         ok=True, schedulable=True, objective=value, claimed=claimed, report=report

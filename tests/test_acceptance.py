@@ -404,7 +404,8 @@ def test_micro_cases(waters, rr_minmax, capsys):
     model = build_milp(waters, RR, "minmax-lat")
     names = [v.name for v in model.variables]
     check(sum(n.startswith("x_") for n in names) == 54, "mapping variables")
-    check(sum(n.startswith("pr_") for n in names) == 81, "priority variables")
+    check(not any(n.startswith(("pr_", "P_")) for n in names), "no priority-level variables")
+    check(sum(r.name.startswith("c6") for r in model.rows) == 168, "triangle rows")
     check(sum(n.startswith("hp_") for n in names) == 72, "relation variables")
     check(sum(r.name.startswith("c2") for r in model.rows) == 1_368, "same-core rows")
 

@@ -25,7 +25,9 @@ def _values(core=(0, 1), prio=(2, 1), accel=False):
     for i, k in enumerate(core):
         v[f"x_t{i}_k{k}"] = 1.0
     for i, p in enumerate(prio):
-        v[f"pr_t{i}_p{p}"] = 1.0
+        for s, q in enumerate(prio):
+            if s != i:
+                v[f"hp_t{i}_t{s}"] = 1.0 if p > q else 0.0
     v["a_t1_j0"] = 1.0 if accel else 0.0
     return v
 
@@ -69,6 +71,18 @@ def test_decode_rejects_unmapped_task(model):
 
 def test_decode_rejects_duplicate_priorities(model):
     vals = _values(prio=(1, 1))
+    with pytest.raises(SolutionDecodeError, match="permutation"):
+        decode_assignment(model, vals)
+
+
+def test_decode_rejects_a_priority_cycle():
+    tasks = [make_task(f"t{i}", 10_000, [seg_cpu(1_000)]) for i in range(3)]
+    model = build_milp(make_instance(tasks), "rr", "minmax-rt")
+    vals = {f"x_t{i}_k0": 1.0 for i in range(3)}
+    # t0 outranks t1, t1 outranks t2 and t2 outranks t0: every pair is
+    # ordered, but each task outranks one other, so all get level 2.
+    for i, s in ((0, 1), (1, 2), (2, 0)):
+        vals[f"hp_t{i}_t{s}"] = 1.0
     with pytest.raises(SolutionDecodeError, match="permutation"):
         decode_assignment(model, vals)
 

@@ -1,10 +1,30 @@
 """MILP construction: variable/row catalog, grids, determinism, LP round-trip."""
 
-import pytest
-from helpers import make_instance, make_task, oracle_corpus_instance, seg_cpu, seg_hwa, seg_opt
+import dataclasses
+import random
 
-from hetsched.analysis import OBJECTIVES, POLICIES, checkpoints, release_jitter_bound
-from hetsched.milp import build_milp, write_lp
+import pytest
+from helpers import (
+    make_instance,
+    make_task,
+    oracle_corpus_instance,
+    random_assignment,
+    random_instance,
+    seg_cpu,
+    seg_hwa,
+    seg_opt,
+)
+
+from hetsched.analysis import (
+    CONSERVATIVE,
+    OBJECTIVES,
+    POLICIES,
+    analyze,
+    checkpoints,
+    evaluate_objective,
+    release_jitter_bound,
+)
+from hetsched.milp import OPTIMAL, ScipyBackend, build_milp, write_lp
 from hetsched.milp.builder import encoding_magnitude
 from hetsched.model import ChainSpec, ModelError, builtin_waters
 
@@ -31,7 +51,7 @@ def _rows_by_family(model):
 def test_waters_variable_counts(waters_rr):
     fam = _vars_by_family(waters_rr)
     assert len(fam["x"]) == 9 * 6
-    assert len(fam["pr"]) == 9 * 9
+    assert "pr" not in fam and "P" not in fam  # priorities are read from hp
     assert len(fam["hp"]) == 9 * 8
     assert len(fam["spk"]) == 9 * 8 * 6
     assert len(fam["a"]) == 9
@@ -248,3 +268,52 @@ def test_encoding_magnitude_bounds_every_constant(index):
     assert largest <= encoding_magnitude(inst)
     if index is None:
         assert largest == encoding_magnitude(inst)
+
+
+# -- encoding twin -------------------------------------------------------------
+
+
+def _schedulable_deployments(policy, count):
+    rng = random.Random(2024)
+    out = []
+    while len(out) < count:
+        inst = random_instance(rng)
+        asg = random_assignment(rng, inst)
+        if analyze(inst, asg, policy, mode=CONSERVATIVE).schedulable:
+            out.append((inst, asg))
+    return out
+
+
+def _pin(model, inst, asg):
+    """Fix ``x``, ``hp`` and ``a`` to the deployment through their bounds."""
+    tasks = model.meta["tasks"]
+    cores = model.meta["cores"]
+    fixed = {}
+    for i, tid in enumerate(tasks):
+        for k, cid in enumerate(cores):
+            fixed[f"x_t{i}_k{k}"] = asg.core_of[tid] == cid
+        for s, other in enumerate(tasks):
+            if s != i:
+                fixed[f"hp_t{i}_t{s}"] = asg.priority_of[tid] > asg.priority_of[other]
+        for j in range(model.meta["segments"][tid]):
+            fixed[f"a_t{i}_j{j}"] = j in asg.accelerated_of(tid)
+    for name, on in fixed.items():
+        idx = model.var(name)
+        model.variables[idx] = dataclasses.replace(model.variables[idx], lb=float(on), ub=float(on))
+
+
+@pytest.mark.parametrize("policy", POLICIES)
+def test_pinned_deployment_reaches_the_conservative_analysis(policy):
+    # With the deployment fixed, the MILP's optimum is the conservative
+    # analysis of that deployment: a row that is too tight raises it, a row
+    # that is too loose lowers it.
+    backend = ScipyBackend()
+    for inst, asg in _schedulable_deployments(policy, 6):
+        report = analyze(inst, asg, policy, mode=CONSERVATIVE)
+        for objective in OBJECTIVES:
+            model = build_milp(inst, policy, objective)
+            _pin(model, inst, asg)
+            res = backend.solve(model)
+            expected = float(evaluate_objective(report, objective))
+            assert res.status == OPTIMAL, (objective, res.message)
+            assert res.objective == pytest.approx(expected, rel=1e-6), objective

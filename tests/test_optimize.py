@@ -12,10 +12,12 @@ from hetsched.milp import INFEASIBLE, MAX_ACCELERATION, OPTIMAL, ScipyBackend, o
 from hetsched.milp.builder import COEFFICIENT_LIMIT, encoding_magnitude
 from hetsched.model import ChainSpec, ModelError, instance_from_dict, validate_instance
 
-# Three small instances on which HiGHS's presolve cut off the optimum of the
-# MILP without the aggregated cuts c11e/c18e: it claimed 0.7073 against the
-# true 0.7072, reported "infeasible" against 0.8516, and claimed 1.4704
-# against 1.4167.
+# Small instances on which HiGHS's presolve cut off the optimum.  On the first
+# three it did so without the aggregated cuts c11e/c18e: it claimed 0.7073
+# against the true 0.7072, reported "infeasible" against 0.8516, and claimed
+# 1.4704 against 1.4167.  On the fourth it did so with the McCormick row c10m:
+# it claimed 0.5024 against 0.5023, which optimize's presolve-off re-solve
+# recovers.
 PRESOLVE_CUTOFFS = json.loads(
     (Path(__file__).parent / "data" / "presolve_cutoffs.json").read_text()
 )
@@ -95,6 +97,7 @@ def test_result_reports_solver_statistics():
     assert res.dual_bound == pytest.approx(res.solver_objective, rel=1e-6)
     d = res.to_dict()
     assert (d["nodes"], d["dual_bound"]) == (res.nodes, res.dual_bound)
+    assert d["resolved_without_presolve"] is False
 
 
 class _NodeCountingBackend(ScipyBackend):
@@ -118,19 +121,19 @@ def test_nodes_sum_over_the_tie_break_resolve():
 
 def _twin(wcet):
     # Two tasks at 25 % load each on one core, and a chain of the first.  The
-    # largest constant of their MILP is c11b's deadline plus demand cap:
-    # 4 * wcet + 2 * wcet.
+    # largest constant of their MILP is the deadline 4 * wcet, of the R
+    # bounds and the rt rows; the demand cap is 2 * wcet.
     tasks = [make_task(tid, 4 * wcet, [seg_cpu(wcet)]) for tid in ("a", "b")]
     chain = ChainSpec(id="ch", tasks=("a",))
     return make_instance(tasks, n_cores=1, chains=[chain], accelerator=False)
 
 
-ENVELOPE_EDGE = (COEFFICIENT_LIMIT - 1) // 6  # largest WCET _twin accepts
+ENVELOPE_EDGE = (COEFFICIENT_LIMIT - 1) // 4  # largest WCET _twin accepts
 
 
 def test_instance_just_inside_the_numeric_envelope_solves():
     inst = _twin(ENVELOPE_EDGE)
-    assert encoding_magnitude(inst) == 6 * ENVELOPE_EDGE < COEFFICIENT_LIMIT
+    assert encoding_magnitude(inst) == 4 * ENVELOPE_EDGE < COEFFICIENT_LIMIT
     assert validate_instance(inst) == []
     res = optimize(inst, "rr", "minmax-rt")
     assert res.status == OPTIMAL
@@ -177,25 +180,65 @@ class _ZeroClockBackend(ScipyBackend):
 
 
 class _InflatedClaimBackend(ScipyBackend):
-    """HiGHS, but claiming an optimum one above the one it found."""
+    """HiGHS, but claiming an optimum one above the one it found.  With
+    ``presolve_only``, only solves with presolve on lie, as in the presolve
+    cut-offs.  Records the presolve setting of every solve."""
 
-    def solve(self, *args, **kwargs):
-        res = super().solve(*args, **kwargs)
-        res.objective += 1.0
+    def __init__(self, presolve_only=False):
+        self.presolve_only = presolve_only
+        self.presolve = []
+
+    def solve(self, model, time_limit=None, mip_gap=0.0, presolve=True):
+        self.presolve.append(presolve)
+        res = super().solve(model, time_limit=time_limit, mip_gap=mip_gap, presolve=presolve)
+        if presolve or not self.presolve_only:
+            res.objective += 1.0
         return res
 
 
 def test_proven_optimum_above_the_analysis_is_not_verified(tiny):
     # At a zero gap the claim is a proof, and the returned deployment refutes
-    # it; at a positive gap a claim worse than the deployment is allowed.
-    res = optimize(tiny, "rr", "minsum-rt", backend=_InflatedClaimBackend())
+    # it, on the presolve-off re-solve too; at a positive gap a claim worse
+    # than the deployment is allowed.
+    backend = _InflatedClaimBackend()
+    res = optimize(tiny, "rr", "minsum-rt", backend=backend)
+    assert backend.presolve == [True, False]
     assert res.status == OPTIMAL
     assert res.solver_objective == pytest.approx(float(res.objective) + 1.0)
     assert not res.verified and not res.ok
     assert "proved" in res.message
-    res = optimize(tiny, "rr", "minsum-rt", mip_gap=0.5, backend=_InflatedClaimBackend())
+    assert res.resolved_without_presolve
+    backend = _InflatedClaimBackend()
+    res = optimize(tiny, "rr", "minsum-rt", mip_gap=0.5, backend=backend)
+    assert backend.presolve == [True]
     assert res.status == OPTIMAL
     assert res.verified and res.ok
+    assert not res.resolved_without_presolve
+
+
+def test_refuted_proof_is_solved_once_more_without_presolve(tiny):
+    backend = _InflatedClaimBackend(presolve_only=True)
+    res = optimize(tiny, "rr", "minsum-rt", backend=backend)
+    assert backend.presolve == [True, False]
+    assert res.ok
+    assert res.solver_objective == pytest.approx(float(res.objective))
+    assert res.resolved_without_presolve
+    assert res.to_dict()["resolved_without_presolve"] is True
+
+
+def test_refuted_proof_is_solved_again_with_the_tie_break():
+    # The re-solve starts from a model without the first tie-break's pin, so
+    # the second tie-break pins the honest optimum.
+    t1 = make_task("t1", 10_000, [seg_cpu(4_000)])
+    t2 = make_task("t2", 20_000, [seg_opt(5_500, 1_000, 500, 4_000)])
+    backend = _InflatedClaimBackend(presolve_only=True)
+    res = optimize(
+        make_instance([t1, t2]), "rr", "minmax-rt", backend=backend, tie_break=MAX_ACCELERATION
+    )
+    assert backend.presolve == [True, True, False, False]
+    assert res.ok and res.resolved_without_presolve
+    assert res.objective == Fraction(2, 5)
+    assert res.assignment.accelerated_of("t2") == frozenset({0})
 
 
 def test_runtime_covers_the_whole_call(tiny):
