@@ -9,9 +9,7 @@ structured output is deterministic JSON (sorted keys) so runs diff cleanly.
 from __future__ import annotations
 
 import argparse
-import contextlib
 import json
-import os
 import sys
 from fractions import Fraction
 
@@ -114,37 +112,18 @@ def _cmd_analyze(args) -> int:
     return 0 if report.schedulable else 2
 
 
-@contextlib.contextmanager
-def _stdout_to_stderr():
-    """Point file descriptor 1 at descriptor 2 for the duration.
-
-    HiGHS writes diagnostics straight to descriptor 1, past ``sys.stdout``;
-    without this they would land ahead of the JSON document.
-    """
-    sys.stdout.flush()
-    saved = os.dup(1)
-    os.dup2(2, 1)
-    try:
-        yield
-    finally:
-        sys.stdout.flush()
-        os.dup2(saved, 1)
-        os.close(saved)
-
-
 def _cmd_optimize(args) -> int:
     inst = _load_inputs(args)
-    with _stdout_to_stderr():
-        result = optimize(
-            inst,
-            args.policy,
-            args.objective,
-            backend=args.backend,
-            time_limit=args.time_limit,
-            mip_gap=args.mip_gap,
-            tie_break=MAX_ACCELERATION if args.tie_break else None,
-            emit_lp=args.emit_lp,
-        )
+    result = optimize(
+        inst,
+        args.policy,
+        args.objective,
+        backend=args.backend,
+        time_limit=args.time_limit,
+        mip_gap=args.mip_gap,
+        tie_break=MAX_ACCELERATION if args.tie_break else None,
+        emit_lp=args.emit_lp,
+    )
     _emit(result.to_dict(), args)
     if result.ok:
         return 0

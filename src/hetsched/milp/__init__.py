@@ -53,7 +53,7 @@ class OptimizeResult:
     message: str = ""
     nodes: int | None = None  # branch-and-bound nodes, summed over every solve of the call
     dual_bound: float | None = None  # the solver's proven bound on solver_objective
-    resolved_without_presolve: bool = False  # a refuted proof was solved again
+    resolved_without_presolve: bool = False  # an infeasible or refuted answer was re-solved
 
     @property
     def ok(self) -> bool:
@@ -153,11 +153,12 @@ def optimize(
     the conservative analysis, so a successful result is certified
     end-to-end rather than taken on the solver's word.
 
-    When HiGHS proves an optimum that its own deployment beats, the model is
-    solved once more with HiGHS's presolve off, and that answer is reported
+    When HiGHS answers ``infeasible``, or proves an optimum that its own
+    deployment beats, the model is solved once more with HiGHS's presolve
+    off, and a deployment found that way is reported
     (``resolved_without_presolve``).  On small seeded instances, presolve
-    occasionally cut off the optimum, and each such case seen solved right
-    without it.
+    occasionally cut off the optimum or every feasible point, and each such
+    case seen solved right without it.
     """
     if tie_break not in (None, MAX_ACCELERATION):
         raise ValueError(f"unknown tie_break {tie_break!r}")
@@ -182,10 +183,9 @@ def optimize(
     attempt = solve(model)
     nodes = attempt.nodes
     resolved = False
-    if (
-        isinstance(backend, ScipyBackend)
-        and attempt.verification is not None
-        and attempt.verification.refutes_proof
+    if isinstance(backend, ScipyBackend) and (
+        attempt.status == INFEASIBLE
+        or (attempt.verification is not None and attempt.verification.refutes_proof)
     ):
         # The tie-break pinned the first model's objective to the refuted claim.
         if tie_break is not None:

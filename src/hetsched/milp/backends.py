@@ -25,15 +25,23 @@ verbatim and warns that it does; only that warning is silenced.  The solve
 stays on :func:`scipy.optimize.milp` rather than on scipy's private
 ``_highspy`` bindings: it is the public entry point, and the benchmark
 observes every HiGHS call (time, nodes, count) by wrapping it.
+
+HiGHS writes some diagnostics (``transformNewIntegerFeasibleSolution``) to
+file descriptor 1 even with its log off, so ``ScipyBackend`` points
+descriptor 1 at descriptor 2 around the ``milp`` call, at about 2 µs a
+solve: every caller, not only the command line, keeps standard output for
+its own results.
 """
 
 from __future__ import annotations
 
+import contextlib
 import math
 import os
 import re
 import shlex
 import subprocess
+import sys
 import tempfile
 import time
 import warnings
@@ -75,6 +83,24 @@ class SolveResult:
         return self.status in (OPTIMAL, FEASIBLE)
 
 
+@contextlib.contextmanager
+def _stdout_to_stderr():
+    """Point file descriptor 1 at descriptor 2 for the duration.
+
+    Descriptor 1 belongs to the whole process, so solves run from several
+    threads at once may leave it pointing at descriptor 2.
+    """
+    sys.stdout.flush()
+    saved = os.dup(1)
+    os.dup2(2, 1)
+    try:
+        yield
+    finally:
+        sys.stdout.flush()
+        os.dup2(saved, 1)
+        os.close(saved)
+
+
 class ScipyBackend:
     """In-process HiGHS via scipy.optimize.milp."""
 
@@ -88,35 +114,15 @@ class ScipyBackend:
         presolve: bool = True,
     ) -> SolveResult:
         import numpy as np
-        from scipy import sparse
         from scipy.optimize import Bounds, LinearConstraint, milp
+        from scipy.sparse import csr_matrix
 
-        nv = len(model.variables)
-        c = np.zeros(nv)
-        for idx, coef in model.objective.items():
-            c[idx] = coef
-        integrality = np.array([1 if v.integer else 0 for v in model.variables], dtype=np.uint8)
-        lb = np.array([v.lb for v in model.variables])
-        ub = np.array([np.inf if v.ub is None else v.ub for v in model.variables])
-
-        constraints = None
-        if model.rows:
-            data, rows_ix, cols_ix = [], [], []
-            lo = np.empty(len(model.rows))
-            hi = np.empty(len(model.rows))
-            for r, row in enumerate(model.rows):
-                for idx, coef in row.terms:
-                    rows_ix.append(r)
-                    cols_ix.append(idx)
-                    data.append(coef)
-                if row.sense == "<=":
-                    lo[r], hi[r] = -np.inf, row.rhs
-                elif row.sense == ">=":
-                    lo[r], hi[r] = row.rhs, np.inf
-                else:
-                    lo[r] = hi[r] = row.rhs
-            A = sparse.csr_matrix((data, (rows_ix, cols_ix)), shape=(len(model.rows), nv))
-            constraints = LinearConstraint(A, lo, hi)
+        c = np.zeros(len(model.col_names))
+        c[list(model.objective)] = list(model.objective.values())
+        A = csr_matrix(
+            (model.coef, model.col_index, model.row_start),
+            shape=(len(model.row_names), len(model.col_names)),
+        )
 
         options: dict = {
             "disp": False,
@@ -129,15 +135,15 @@ class ScipyBackend:
             options["mip_rel_gap"] = float(mip_gap)
 
         start = time.perf_counter()
-        with warnings.catch_warnings():
+        with warnings.catch_warnings(), _stdout_to_stderr():
             warnings.filterwarnings(
                 "ignore", message="Unrecognized options detected", category=RuntimeWarning
             )
             res = milp(
                 c=c,
-                integrality=integrality,
-                bounds=Bounds(lb, ub),
-                constraints=constraints,
+                integrality=model.integer,
+                bounds=Bounds(model.col_lower, model.col_upper),
+                constraints=LinearConstraint(A, model.row_lower, model.row_upper),
                 options=options,
             )
         elapsed = time.perf_counter() - start
@@ -154,9 +160,7 @@ class ScipyBackend:
             status = UNBOUNDED
         else:
             status = ERROR
-        values = {}
-        if res.x is not None:
-            values = {v.name: float(res.x[i]) for i, v in enumerate(model.variables)}
+        values = {} if res.x is None else dict(zip(model.col_names, res.x.tolist()))
         gap = res.get("mip_gap")
         nodes = res.get("mip_node_count")
         bound = res.get("mip_dual_bound")
@@ -254,7 +258,7 @@ def _parse_plain_solution(text: str, known: set[str]):
 
 def parse_solution_file(text: str, model: MilpModel) -> SolveResult:
     """Interpret an external solver's solution file against a model."""
-    known = {v.name for v in model.variables}
+    known = set(model.col_names)
     stripped = text.lstrip()
     if stripped.startswith("<?xml") or stripped.startswith("<CPLEXSolution"):
         status_text, objective, values = _parse_xml_solution(text, known)
@@ -275,7 +279,7 @@ def parse_solution_file(text: str, model: MilpModel) -> SolveResult:
 
     if objective is None and values and status in (OPTIMAL, FEASIBLE):
         objective = sum(
-            coef * values.get(model.variables[idx].name, 0.0)
+            coef * values.get(model.col_names[idx], 0.0)
             for idx, coef in model.objective.items()
         )
     return SolveResult(

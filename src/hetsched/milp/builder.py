@@ -549,7 +549,7 @@ def build_milp(inst: ProblemInstance, policy: str, objective: str) -> MilpModel:
                 model.add_row(f"c13_t{i}_j{j}", [(la[i], 1.0), (a[i][j], -e_hw)], ">=", 0.0)
             for j in acc_idx[i]:
                 e_hw = float(accel_time[i][j] or 0)
-                m14 = e_hw + sum(max_accel[h] for h in range(n) if h != i)
+                m14 = float(ss_cap[i][j])
                 model.add_row(
                     f"c14_t{i}_j{j}",
                     [(sseg[i][j], 1.0), (a[i][j], -m14)]

@@ -1,36 +1,35 @@
 """A small mixed-integer linear program container.
 
 The builder fills it, the LP writer serializes it, and the solver backends
-consume it.  Everything is index-based internally; names exist for the LP
-file and for decoding solutions.
+consume it.  The model is kept in the layout HiGHS takes, as parallel lists
+that grow as the builder appends:
+
+* columns: ``col_names``, ``col_lower``, ``col_upper`` (``math.inf`` when
+  unbounded above) and ``integer``;
+* rows, in compressed sparse row form: the terms of row ``r`` are
+  ``col_index[row_start[r]:row_start[r + 1]]`` with coefficients
+  ``coef[row_start[r]:row_start[r + 1]]``, and the row reads
+  ``row_lower[r] <= terms <= row_upper[r]``; ``row_names`` labels it.
+
+:meth:`MilpModel.add_row` is the only place that turns a sense (``<=``,
+``>=``, ``==``) into row bounds.  Names exist for the LP file and for
+decoding solutions.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+import math
 from typing import Iterable
 
-SENSES = ("<=", ">=", "==")
 
-
-@dataclass(frozen=True)
-class Variable:
-    name: str
-    lb: float = 0.0
-    ub: float | None = None  # None means +infinity
-    integer: bool = False
-
-    @property
-    def is_binary(self) -> bool:
-        return self.integer and self.lb >= 0.0 and self.ub is not None and self.ub <= 1.0
-
-
-@dataclass(frozen=True)
-class Row:
-    name: str
-    terms: tuple[tuple[int, float], ...]  # (variable index, coefficient)
-    sense: str
-    rhs: float
+def _merge(terms: Iterable[tuple[int, float]]) -> dict[int, float]:
+    """Sum the coefficients of repeated columns, in first-seen order,
+    dropping terms given with a zero coefficient."""
+    merged: dict[int, float] = {}
+    for idx, coef in terms:
+        if coef:
+            merged[idx] = merged.get(idx, 0.0) + float(coef)
+    return merged
 
 
 class MilpModel:
@@ -38,66 +37,76 @@ class MilpModel:
 
     def __init__(self, name: str):
         self.name = name
-        self.variables: list[Variable] = []
-        self.rows: list[Row] = []
+        self.col_names: list[str] = []
+        self.col_lower: list[float] = []
+        self.col_upper: list[float] = []
+        self.integer: list[bool] = []
+        self.row_names: list[str] = []
+        self.row_lower: list[float] = []
+        self.row_upper: list[float] = []
+        self.row_start: list[int] = [0]
+        self.col_index: list[int] = []
+        self.coef: list[float] = []
         self.objective: dict[int, float] = {}
         self.meta: dict = {}
-        self._var_index: dict[str, int] = {}
-        self._row_names: set[str] = set()
+        self._col_of: dict[str, int] = {}
+        self._row_set: set[str] = set()
 
     # -- columns ------------------------------------------------------------
 
     def add_var(
-        self, name: str, lb: float = 0.0, ub: float | None = None, integer: bool = False
+        self, name: str, lb: float = 0.0, ub: float = math.inf, integer: bool = False
     ) -> int:
-        if name in self._var_index:
+        if name in self._col_of:
             raise ValueError(f"duplicate variable {name!r}")
-        idx = len(self.variables)
-        self._var_index[name] = idx
-        self.variables.append(
-            Variable(name=name, lb=float(lb), ub=None if ub is None else float(ub), integer=integer)
-        )
+        idx = len(self.col_names)
+        self._col_of[name] = idx
+        self.col_names.append(name)
+        self.col_lower.append(float(lb))
+        self.col_upper.append(float(ub))
+        self.integer.append(integer)
         return idx
 
     def add_binary(self, name: str, lb: float = 0.0, ub: float = 1.0) -> int:
         return self.add_var(name, lb=lb, ub=ub, integer=True)
 
     def var(self, name: str) -> int:
-        return self._var_index[name]
+        return self._col_of[name]
 
     def has_var(self, name: str) -> bool:
-        return name in self._var_index
+        return name in self._col_of
+
+    def is_binary(self, i: int) -> bool:
+        return self.integer[i] and self.col_lower[i] >= 0.0 and self.col_upper[i] <= 1.0
 
     # -- rows and objective ---------------------------------------------------
 
     def add_row(
         self, name: str, terms: Iterable[tuple[int, float]], sense: str, rhs: float
     ) -> None:
-        if sense not in SENSES:
+        if sense not in ("<=", ">=", "=="):
             raise ValueError(f"bad sense {sense!r}")
-        if name in self._row_names:
+        if name in self._row_set:
             raise ValueError(f"duplicate row {name!r}")
-        self._row_names.add(name)
-        merged: dict[int, float] = {}
-        for idx, coef in terms:
-            if coef:
-                merged[idx] = merged.get(idx, 0.0) + float(coef)
-        self.rows.append(Row(name=name, terms=tuple(merged.items()), sense=sense, rhs=float(rhs)))
+        self._row_set.add(name)
+        merged = _merge(terms)
+        self.row_names.append(name)
+        self.row_lower.append(-math.inf if sense == "<=" else float(rhs))
+        self.row_upper.append(math.inf if sense == ">=" else float(rhs))
+        self.col_index.extend(merged)
+        self.coef.extend(merged.values())
+        self.row_start.append(len(self.col_index))
 
     def set_objective(self, terms: Iterable[tuple[int, float]]) -> None:
-        merged: dict[int, float] = {}
-        for idx, coef in terms:
-            if coef:
-                merged[idx] = merged.get(idx, 0.0) + float(coef)
-        self.objective = merged
+        self.objective = _merge(terms)
 
     # -- reporting -------------------------------------------------------------
 
     def stats(self) -> dict:
         return {
-            "variables": len(self.variables),
-            "binaries": sum(v.is_binary for v in self.variables),
-            "integers": sum(v.integer for v in self.variables),
-            "rows": len(self.rows),
-            "nonzeros": sum(len(r.terms) for r in self.rows),
+            "variables": len(self.col_names),
+            "binaries": sum(map(self.is_binary, range(len(self.col_names)))),
+            "integers": sum(self.integer),
+            "rows": len(self.row_names),
+            "nonzeros": len(self.coef),
         }

@@ -4,6 +4,8 @@ order, which the builder derives from the instance alone."""
 
 from __future__ import annotations
 
+import math
+
 from hetsched.milp.ir import MilpModel
 
 
@@ -13,10 +15,10 @@ def _num(v: float) -> str:
     return repr(v)
 
 
-def _expr(terms, variables) -> str:
+def _expr(terms, names) -> str:
     parts: list[str] = []
     for idx, coef in terms:
-        name = variables[idx].name
+        name = names[idx]
         if not parts:
             if coef == 1:
                 parts.append(name)
@@ -34,49 +36,50 @@ def _expr(terms, variables) -> str:
     return " ".join(parts)
 
 
-_SENSE = {"<=": "<=", ">=": ">=", "==": "="}
-
-
 def write_lp(model: MilpModel) -> str:
     if not model.objective:
         raise ValueError("model has no objective")
+    names = model.col_names
     out: list[str] = [f"\\ {model.name}"]
     out.append("Minimize")
-    out.append(" obj: " + _expr(sorted(model.objective.items()), model.variables))
+    out.append(" obj: " + _expr(sorted(model.objective.items()), names))
     out.append("Subject To")
-    for row in model.rows:
-        if not row.terms:
-            raise ValueError(f"row {row.name!r} has no terms")
-        out.append(f" {row.name}: {_expr(row.terms, model.variables)} {_SENSE[row.sense]} {_num(row.rhs)}")
+    start, index, coef = model.row_start, model.col_index, model.coef
+    for r, name in enumerate(model.row_names):
+        terms = list(zip(index[start[r] : start[r + 1]], coef[start[r] : start[r + 1]]))
+        if not terms:
+            raise ValueError(f"row {name!r} has no terms")
+        # add_row gives every row one finite side, or two equal ones.
+        lower, upper = model.row_lower[r], model.row_upper[r]
+        sense = "=" if lower == upper else "<=" if lower == -math.inf else ">="
+        rhs = upper if sense == "<=" else lower
+        out.append(f" {name}: {_expr(terms, names)} {sense} {_num(rhs)}")
 
     bounds: list[str] = []
-    for v in model.variables:
-        if v.is_binary:
+    binaries: list[str] = []
+    generals: list[str] = []
+    for i, (name, lb, ub) in enumerate(zip(names, model.col_lower, model.col_upper)):
+        if model.is_binary(i):
+            binaries.append(f" {name}")
             # Only non-default binary bounds (fixed on/off) need a line.
-            if v.lb > 0:
-                bounds.append(f" {v.name} >= {_num(v.lb)}")
-            if v.ub is not None and v.ub < 1:
-                bounds.append(f" {v.name} <= {_num(v.ub)}")
+            if lb > 0:
+                bounds.append(f" {name} >= {_num(lb)}")
+            if ub < 1:
+                bounds.append(f" {name} <= {_num(ub)}")
             continue
-        if v.ub is not None and v.lb == v.ub:
-            bounds.append(f" {v.name} = {_num(v.lb)}")
+        if model.integer[i]:
+            generals.append(f" {name}")
+        if lb == ub:
+            bounds.append(f" {name} = {_num(lb)}")
             continue
-        if v.lb != 0.0:
-            bounds.append(f" {v.name} >= {_num(v.lb)}")
-        if v.ub is not None:
-            bounds.append(f" {v.name} <= {_num(v.ub)}")
-    if bounds:
-        out.append("Bounds")
-        out.extend(bounds)
-
-    binaries = [v.name for v in model.variables if v.is_binary]
-    if binaries:
-        out.append("Binary")
-        out.extend(f" {name}" for name in binaries)
-    generals = [v.name for v in model.variables if v.integer and not v.is_binary]
-    if generals:
-        out.append("General")
-        out.extend(f" {name}" for name in generals)
+        if lb != 0.0:
+            bounds.append(f" {name} >= {_num(lb)}")
+        if ub != math.inf:
+            bounds.append(f" {name} <= {_num(ub)}")
+    for header, lines in (("Bounds", bounds), ("Binary", binaries), ("General", generals)):
+        if lines:
+            out.append(header)
+            out.extend(lines)
     out.append("End")
     return "\n".join(out) + "\n"
 

@@ -402,26 +402,29 @@ def test_micro_cases(waters, rr_minmax, capsys):
 
     # Encoder shape on the benchmark instance.
     model = build_milp(waters, RR, "minmax-lat")
-    names = [v.name for v in model.variables]
+    names = model.col_names
     check(sum(n.startswith("x_") for n in names) == 54, "mapping variables")
     check(not any(n.startswith(("pr_", "P_")) for n in names), "no priority-level variables")
-    check(sum(r.name.startswith("c6") for r in model.rows) == 168, "triangle rows")
+    check(sum(r.startswith("c6") for r in model.row_names) == 168, "triangle rows")
     check(sum(n.startswith("hp_") for n in names) == 72, "relation variables")
-    check(sum(r.name.startswith("c2") for r in model.rows) == 1_368, "same-core rows")
+    check(sum(r.startswith("c2") for r in model.row_names) == 1_368, "same-core rows")
 
     # Every coefficient, bound and right-hand side stays well inside 2**40.
-    magnitudes = [abs(r.rhs) for r in model.rows]
-    magnitudes += [abs(c) for r in model.rows for _, c in r.terms]
-    magnitudes += [abs(b) for v in model.variables for b in (v.lb, v.ub) if b is not None]
+    # A row's right-hand side is its bound that is not -inf.
+    rows = zip(model.row_lower, model.row_upper)
+    magnitudes = [abs(hi if lo == -math.inf else lo) for lo, hi in rows]
+    magnitudes += [abs(c) for c in model.coef]
+    magnitudes += [abs(b) for b in model.col_lower]
+    magnitudes += [abs(b) for b in model.col_upper if b != math.inf]
     check(all(math.isfinite(m) for m in magnitudes), "finite coefficients")
     check(max(magnitudes) < 2**40, "numeric envelope")
 
     # The LP text carries every row and column, each row labelled once.
     text = write_lp(model)
     labels = re.findall(r"(?m)^\s*(\w+):", text)
-    check(len(labels) == len(set(labels)) == len(model.rows) + 1, "lp row count")
+    check(len(labels) == len(set(labels)) == len(model.row_names) + 1, "lp row count")
     tokens = set(re.findall(r"[A-Za-z_]\w*", text))
-    check({v.name for v in model.variables} <= tokens, "lp column names")
+    check(set(model.col_names) <= tokens, "lp column names")
 
     # The benchmark optimum decodes to a priority permutation the analysis signs off.
     if rr_minmax.assignment is None:

@@ -189,19 +189,19 @@ def test_optimize_stdout_is_clean_json(capsys, tmp_path, index):
 
 
 def test_optimize_stdout_survives_solver_noise(tmp_path, duo_files):
-    # Whatever the solver writes to file descriptor 1 must not reach the
-    # JSON document on stdout.
+    # Whatever HiGHS writes to file descriptor 1 must not reach the JSON
+    # document on stdout.  The noise comes from inside the call HiGHS runs in.
     inst, _ = duo_files
     script = tmp_path / "noisy.py"
     script.write_text(
         "import os, sys\n"
+        "import scipy.optimize\n"
         "from hetsched.cli import main\n"
-        "from hetsched.milp.backends import ScipyBackend\n"
-        "solve = ScipyBackend.solve\n"
-        "def noisy(self, *args, **kwargs):\n"
+        "milp = scipy.optimize.milp\n"
+        "def noisy(*args, **kwargs):\n"
         "    os.write(1, b'noise\\n')\n"
-        "    return solve(self, *args, **kwargs)\n"
-        "ScipyBackend.solve = noisy\n"
+        "    return milp(*args, **kwargs)\n"
+        "scipy.optimize.milp = noisy\n"
         "sys.exit(main(sys.argv[1:]))\n"
     )
     proc = subprocess.run(

@@ -1,7 +1,10 @@
 """MILP construction: variable/row catalog, grids, determinism, LP round-trip."""
 
-import dataclasses
+import hashlib
+import json
+import math
 import random
+from pathlib import Path
 
 import pytest
 from helpers import (
@@ -26,6 +29,7 @@ from hetsched.analysis import (
 )
 from hetsched.milp import OPTIMAL, ScipyBackend, build_milp, write_lp
 from hetsched.milp.builder import encoding_magnitude
+from hetsched.milp.ir import MilpModel
 from hetsched.model import ChainSpec, ModelError, builtin_waters
 
 
@@ -34,18 +38,24 @@ def waters_rr():
     return build_milp(builtin_waters(), "rr", "minmax-lat")
 
 
-def _vars_by_family(model):
+def _by_family(names):
     fam = {}
-    for v in model.variables:
-        fam.setdefault(v.name.split("_")[0], []).append(v)
+    for name in names:
+        fam.setdefault(name.split("_")[0], []).append(name)
     return fam
+
+
+def _vars_by_family(model):
+    return _by_family(model.col_names)
 
 
 def _rows_by_family(model):
-    fam = {}
-    for r in model.rows:
-        fam.setdefault(r.name.split("_")[0], []).append(r)
-    return fam
+    return _by_family(model.row_names)
+
+
+def _row_terms(model, r):
+    lo, hi = model.row_start[r], model.row_start[r + 1]
+    return dict(zip(model.col_index[lo:hi], model.coef[lo:hi]))
 
 
 def test_waters_variable_counts(waters_rr):
@@ -68,15 +78,15 @@ def test_waters_same_core_linearization_row_count(waters_rr):
 
 
 def test_acceleration_variables_respect_segment_types(waters_rr):
-    by_name = {v.name: v for v in waters_rr.variables}
-    tasks = waters_rr.meta["tasks"]
+    m = waters_rr
+    tasks = m.meta["tasks"]
     det = tasks.index("detection")
     lid = tasks.index("lidar_grabber")
     sfm = tasks.index("sfm")
-    assert by_name[f"a_t{det}_j0"].lb == 1.0  # accelerator-only: forced on
-    assert by_name[f"a_t{lid}_j0"].ub == 0.0  # CPU-only: forced off
-    v = by_name[f"a_t{sfm}_j0"]
-    assert v.lb == 0.0 and v.ub == 1.0  # free choice
+    assert m.col_lower[m.var(f"a_t{det}_j0")] == 1.0  # accelerator-only: forced on
+    assert m.col_upper[m.var(f"a_t{lid}_j0")] == 0.0  # CPU-only: forced off
+    v = m.var(f"a_t{sfm}_j0")
+    assert m.col_lower[v] == 0.0 and m.col_upper[v] == 1.0  # free choice
 
 
 def test_wcrt_grid_matches_analysis_checkpoints(waters_rr):
@@ -137,14 +147,14 @@ def test_nocontention_has_no_arbitration_variables():
 def test_objective_variants():
     inst = builtin_waters()
     m = build_milp(inst, "rr", "minmax-rt")
-    names = {v.name for v in m.variables}
+    names = set(m.col_names)
     assert "RTmax" in names and "Lmax" not in names
     m = build_milp(inst, "rr", "minsum-rt")
     # Objective directly prices the response times by 1/deadline.
-    obj_vars = {m.variables[i].name for i in m.objective}
+    obj_vars = {m.col_names[i] for i in m.objective}
     assert obj_vars == {f"R_t{i}" for i in range(9)}
     m = build_milp(inst, "rr", "minsum-lat")
-    obj_vars = {m.variables[i].name for i in m.objective}
+    obj_vars = {m.col_names[i] for i in m.objective}
     assert obj_vars == {f"L_ch{x}" for x in range(8)}
 
 
@@ -233,26 +243,84 @@ def test_lp_text_round_trips_every_row():
     model = build_milp(inst, "npfp", "minmax-lat")
     obj, rows, binaries, generals = _parse_lp(write_lp(model))
 
-    want_obj = {model.variables[i].name: c for i, c in model.objective.items()}
+    names = model.col_names
+    want_obj = {names[i]: c for i, c in model.objective.items()}
     assert obj == want_obj
-    assert len(rows) == len(model.rows)
-    sense_map = {"<=": "<=", ">=": ">=", "==": "="}
-    for row in model.rows:
-        got_terms, got_sense, got_rhs = rows[row.name]
-        assert got_sense == sense_map[row.sense], row.name
-        assert got_rhs == row.rhs, row.name
-        assert got_terms == {model.variables[i].name: c for i, c in row.terms}, row.name
-    assert binaries == {v.name for v in model.variables if v.is_binary}
+    assert len(rows) == len(model.row_names)
+    bounds_of = {
+        "<=": lambda v: (-math.inf, v),
+        ">=": lambda v: (v, math.inf),
+        "=": lambda v: (v, v),
+    }
+    for r, name in enumerate(model.row_names):
+        got_terms, got_sense, got_rhs = rows[name]
+        assert (model.row_lower[r], model.row_upper[r]) == bounds_of[got_sense](got_rhs), name
+        assert got_terms == {names[i]: c for i, c in _row_terms(model, r).items()}, name
+    columns = range(len(names))
+    assert binaries == {names[i] for i in columns if model.is_binary(i)}
     # Response times and latencies are integral in the LP file too.
-    assert generals == {v.name for v in model.variables if v.integer and not v.is_binary}
+    assert generals == {names[i] for i in columns if model.integer[i] and not model.is_binary(i)}
     assert {"R_t0", "R_t1", "L_ch0", "Lmax"} <= generals
 
 
+# sha256 of the LP text of every model below, concatenated in order.  An
+# encoding change updates the recorded digest on purpose.
+LP_DIGEST = json.loads((Path(__file__).parent / "data" / "lp_digest.json").read_text())
+
+
+def test_lp_text_matches_the_recorded_digest():
+    rng = random.Random(42)  # the oracle corpus, as oracle_corpus_instance walks it
+    instances = [builtin_waters()] + [random_instance(rng) for _ in range(60)]
+    digest = hashlib.sha256()
+    models = 0
+    for inst in instances:
+        for policy in POLICIES:
+            for objective in OBJECTIVES:
+                digest.update(write_lp(build_milp(inst, policy, objective)).encode())
+                models += 1
+    assert (models, digest.hexdigest()) == (LP_DIGEST["models"], LP_DIGEST["sha256"])
+
+
+# -- model container -------------------------------------------------------------
+
+
+def test_duplicate_column_or_row_and_unknown_sense_are_refused():
+    m = MilpModel("guards")
+    x = m.add_var("x")
+    m.add_row("r", [(x, 1.0)], "<=", 1.0)
+    with pytest.raises(ValueError, match="duplicate variable"):
+        m.add_binary("x")
+    with pytest.raises(ValueError, match="duplicate row"):
+        m.add_row("r", [(x, 1.0)], ">=", 0.0)
+    with pytest.raises(ValueError, match="bad sense"):
+        m.add_row("s", [(x, 1.0)], "=", 1.0)
+    assert m.row_names == ["r"] and m.col_names == ["x"]
+
+
+def test_lp_writer_refuses_a_row_without_terms():
+    m = MilpModel("empty")
+    x = m.add_var("x")
+    m.set_objective([(x, 1.0)])
+    m.add_row("nothing", [(x, 0.0)], ">=", 0.0)
+    with pytest.raises(ValueError, match="'nothing' has no terms"):
+        write_lp(m)
+
+
+def test_each_sense_becomes_row_bounds():
+    m = MilpModel("senses")
+    x = m.add_var("x")
+    for sense in ("<=", ">=", "=="):
+        m.add_row(sense, [(x, 1.0)], sense, 3)
+    assert list(zip(m.row_lower, m.row_upper)) == [
+        (-math.inf, 3.0),
+        (3.0, math.inf),
+        (3.0, 3.0),
+    ]
+
+
 def _largest_constant(model):
-    mags = [abs(r.rhs) for r in model.rows]
-    mags += [abs(c) for r in model.rows for _, c in r.terms]
-    mags += [abs(b) for v in model.variables for b in (v.lb, v.ub) if b is not None]
-    return max(mags)
+    bounds = model.row_lower + model.row_upper + model.col_lower + model.col_upper
+    return max(abs(b) for b in bounds + model.coef if math.isfinite(b))
 
 
 @pytest.mark.parametrize("index", [None, 0, 5, 16, 40])
@@ -299,7 +367,7 @@ def _pin(model, inst, asg):
             fixed[f"a_t{i}_j{j}"] = j in asg.accelerated_of(tid)
     for name, on in fixed.items():
         idx = model.var(name)
-        model.variables[idx] = dataclasses.replace(model.variables[idx], lb=float(on), ub=float(on))
+        model.col_lower[idx] = model.col_upper[idx] = float(on)
 
 
 @pytest.mark.parametrize("policy", POLICIES)

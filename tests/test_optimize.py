@@ -1,6 +1,8 @@
 """End-to-end deployment optimization on small instances."""
 
 import json
+import subprocess
+import sys
 from fractions import Fraction
 from pathlib import Path
 
@@ -8,7 +10,14 @@ import pytest
 from helpers import make_instance, make_task, oracle_corpus_instance, seg_cpu, seg_opt
 
 from hetsched.bruteforce import best_assignment
-from hetsched.milp import INFEASIBLE, MAX_ACCELERATION, OPTIMAL, ScipyBackend, optimize
+from hetsched.milp import (
+    INFEASIBLE,
+    MAX_ACCELERATION,
+    OPTIMAL,
+    ScipyBackend,
+    SolveResult,
+    optimize,
+)
 from hetsched.milp.builder import COEFFICIENT_LIMIT, encoding_magnitude
 from hetsched.model import ChainSpec, ModelError, instance_from_dict, validate_instance
 
@@ -18,9 +27,8 @@ from hetsched.model import ChainSpec, ModelError, instance_from_dict, validate_i
 # 1.4704 against 1.4167.  On the fourth it did so with the McCormick row c10m:
 # it claimed 0.5024 against 0.5023, which optimize's presolve-off re-solve
 # recovers.
-PRESOLVE_CUTOFFS = json.loads(
-    (Path(__file__).parent / "data" / "presolve_cutoffs.json").read_text()
-)
+DATA = Path(__file__).parent / "data"
+PRESOLVE_CUTOFFS = json.loads((DATA / "presolve_cutoffs.json").read_text())
 
 
 @pytest.fixture
@@ -239,6 +247,59 @@ def test_refuted_proof_is_solved_again_with_the_tie_break():
     assert res.ok and res.resolved_without_presolve
     assert res.objective == Fraction(2, 5)
     assert res.assignment.accelerated_of("t2") == frozenset({0})
+
+
+class _PresolveInfeasibleBackend(ScipyBackend):
+    """HiGHS, but answering ``infeasible`` whenever presolve is on, as in the
+    ``infeasible`` form of the presolve cut-offs."""
+
+    def __init__(self):
+        self.presolve = []
+
+    def solve(self, model, time_limit=None, mip_gap=0.0, presolve=True):
+        self.presolve.append(presolve)
+        if presolve:
+            return SolveResult(status=INFEASIBLE)
+        return super().solve(model, time_limit=time_limit, mip_gap=mip_gap, presolve=presolve)
+
+
+def test_infeasible_answer_is_solved_once_more_without_presolve(tiny):
+    backend = _PresolveInfeasibleBackend()
+    res = optimize(tiny, "rr", "minmax-lat", backend=backend)
+    assert backend.presolve == [True, False]
+    assert res.status == OPTIMAL
+    assert res.verified and res.ok
+    assert res.objective == 29_500
+    assert res.resolved_without_presolve
+
+
+def test_confirmed_infeasibility_stays_infeasible():
+    backend = _PresolveInfeasibleBackend()
+    inst = make_instance([make_task("t", 10_000, [seg_cpu(12_000)])])
+    res = optimize(inst, "rr", "minmax-rt", backend=backend)
+    assert backend.presolve == [True, False]
+    assert res.status == INFEASIBLE and not res.ok
+    assert res.resolved_without_presolve
+
+
+def test_library_optimize_keeps_solver_noise_off_stdout():
+    # HiGHS writes "transformNewIntegerFeasibleSolution" to file descriptor 1
+    # while solving this instance (the benchmark's SmallOracle(2).ops[230]).
+    script = (
+        "import sys\n"
+        "from hetsched.milp import optimize\n"
+        "from hetsched.model import instance_from_json\n"
+        "inst = instance_from_json(open(sys.argv[1]).read())\n"
+        "sys.exit(0 if optimize(inst, 'rr', 'minmax-rt').ok else 1)\n"
+    )
+    proc = subprocess.run(
+        [sys.executable, "-c", script, str(DATA / "solver_noise.json")],
+        capture_output=True,
+        text=True,
+    )
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout == ""
+    assert "transformNewIntegerFeasibleSolution" in proc.stderr
 
 
 def test_runtime_covers_the_whole_call(tiny):
