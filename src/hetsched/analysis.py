@@ -31,6 +31,7 @@ from hetsched.model import (
     ModelError,
     ProblemInstance,
     TaskSpec,
+    structural_violations,
     validate_assignment,
 )
 
@@ -134,20 +135,12 @@ def map_to_self_suspending(
 
 def min_cpu_wcet(inst: ProblemInstance, task: TaskSpec) -> int:
     """Smallest CPU-side WCET over all cores and legal acceleration choices."""
-    best: int | None = None
-    for ct in inst.platform.core_types:
-        total = 0
-        for seg in task.segments:
-            if seg.impl.must_accelerate:
-                total += seg.cpu_wcet(ct, accelerated=True)
-            elif seg.impl.may_accelerate:
-                total += min(seg.cpu_wcet(ct, accelerated=False), seg.cpu_wcet(ct, accelerated=True))
-            else:
-                total += seg.cpu_wcet(ct, accelerated=False)
-        best = total if best is None else min(best, total)
-    if best is None:
+    totals = [
+        sum(min(seg.cpu_costs(ct)) for seg in task.segments) for ct in inst.platform.core_types
+    ]
+    if not totals:
         raise ModelError("platform declares no core types")
-    return best
+    return min(totals)
 
 
 def min_accel_wcet(task: TaskSpec) -> int:
@@ -251,19 +244,32 @@ def rta_fixed_point(
 # ---------------------------------------------------------------------------
 
 
+# Per task, per checkpoint: ``(s, ceil((v + J_s) / T_s))`` for each source s.
+Multipliers = tuple[tuple[tuple[tuple[int, int], ...], ...], ...]
+
+
 class CompiledInstance:
     """An index-based view of a :class:`ProblemInstance` for repeated use.
 
-    Tasks and cores are addressed by their position in the instance.  The
-    jitter bounds and checkpoint grids are computed on first use and then
-    kept, so a caller that analyzes many deployments of one instance (the
-    brute-force search) or encodes it (the MILP builder) computes them once,
-    and a fixed-point analysis computes none of them.  Self-suspending views
-    are memoized per (task, core type, accelerated segments).  Treat every
+    Tasks and cores are addressed by their position in the instance.  Every
+    assignment-independent constant of the analysis and of the MILP builder
+    (jitter bounds, checkpoint grids, interference multipliers, cost bounds,
+    chain offsets) is defined here, computed on first use and then kept, so
+    a caller that analyzes many deployments of one instance (the brute-force
+    search) or encodes it (the MILP builder) computes them once, and a
+    fixed-point analysis computes none of them.  Self-suspending views are
+    memoized per (task, core type, accelerated segments).  Treat every
     attribute as read-only.
+
+    Building the view rejects an instance that fails
+    :func:`~hetsched.model.structural_violations`, so every route that reads
+    it validates its input.
     """
 
     def __init__(self, inst: ProblemInstance):
+        errors = structural_violations(inst)
+        if errors:
+            raise ModelError("invalid instance: " + "; ".join(str(e) for e in errors))
         tasks = inst.tasks
         self.instance = inst
         self.task_ids = tuple([t.id for t in tasks])
@@ -281,9 +287,34 @@ class CompiledInstance:
         return tuple(tuple(t.accelerable_segments()) for t in self.instance.tasks)
 
     @cached_property
+    def accel_time(self) -> tuple[tuple[int, ...], ...]:
+        """Accelerator time of each of :attr:`accelerable`'s segments."""
+        tasks = self.instance.tasks
+        return tuple(
+            tuple(tasks[i].segments[j].accel_us for j in acc)
+            for i, acc in enumerate(self.accelerable)
+        )
+
+    @cached_property
     def min_cpu(self) -> tuple[int, ...]:
         """:func:`min_cpu_wcet` of each task."""
         return tuple(min_cpu_wcet(self.instance, t) for t in self.instance.tasks)
+
+    @cached_property
+    def seg_cmax(self) -> tuple[tuple[int, ...], ...]:
+        """Largest CPU-side cost of each segment of each task, over the types
+        of the platform's cores and the segment's legal placements."""
+        types = set(self.core_type)
+        return tuple(
+            tuple(max(max(seg.cpu_costs(ct)) for ct in types) for seg in t.segments)
+            for t in self.instance.tasks
+        )
+
+    @cached_property
+    def cmax(self) -> tuple[int, ...]:
+        """Largest CPU-side cost of each task, the counterpart of
+        :attr:`min_cpu`."""
+        return tuple(sum(caps) for caps in self.seg_cmax)
 
     @cached_property
     def jitter(self) -> tuple[int, ...]:
@@ -303,13 +334,15 @@ class CompiledInstance:
 
     @cached_property
     def cpu_grid(self) -> tuple[list[int], ...]:
-        """Conservative WCRT checkpoints of each task."""
+        """Conservative WCRT checkpoints of each task.  Each grid ends at
+        the task's deadline."""
         return tuple(checkpoints(d, self.cpu_sources(i)) for i, d in enumerate(self.deadline))
 
     def accel_grid(self, i: int) -> list[int]:
         """Checkpoints of task ``i``'s npfp accelerator wait: every other task
         that may use the accelerator is a source, with its accelerator jitter
-        bound.  Empty for a task that never uses the accelerator."""
+        bound.  Empty for a task that never uses the accelerator, and ends at
+        the deadline otherwise."""
         grid = self._accel_grid[i]
         if grid is None:
             acc = self.accelerable
@@ -321,6 +354,43 @@ class CompiledInstance:
                 grid = []
             self._accel_grid[i] = grid
         return grid
+
+    def _multipliers(self, grids, jitter, is_source) -> Multipliers:
+        """``(s, ceil((v + J_s) / T_s))`` at each checkpoint ``v`` of task
+        ``i``'s grid, for every source ``s`` other than ``i``."""
+        period = self.period
+        return tuple(
+            tuple(
+                tuple(
+                    (s, _ceil_div(v + jitter[s], t))
+                    for s, t in enumerate(period)
+                    if s != i and is_source(s)
+                )
+                for v in grid
+            )
+            for i, grid in enumerate(grids)
+        )
+
+    @cached_property
+    def cpu_multipliers(self) -> Multipliers:
+        """The conservative CPU demand's multipliers at each checkpoint ``v``
+        of :attr:`cpu_grid`: ``(s, ceil((v + J_s) / T_s))`` for every other
+        task ``s``, with its release jitter bound ``J_s``."""
+        return self._multipliers(self.cpu_grid, self.jitter, lambda s: True)
+
+    @cached_property
+    def accel_multipliers(self) -> Multipliers:
+        """The npfp accelerator backlog's multipliers at each checkpoint of
+        :meth:`accel_grid`, as in :attr:`cpu_multipliers`, for every other
+        task that may use the accelerator, with its accelerator jitter
+        bound."""
+        grids = [self.accel_grid(i) for i in range(len(self.period))]
+        return self._multipliers(grids, self.accel_jitter, self.accelerable.__getitem__)
+
+    def chain_offset(self, chain: ChainSpec) -> int:
+        """What a chain adds to its links' response times: the period of
+        every link after its head."""
+        return sum([self.period[self.task_index[tid]] for tid in chain.tasks[1:]])
 
     def view(self, i: int, core_type: str, accelerated: frozenset[int]) -> SelfSuspendingView:
         """:func:`map_to_self_suspending` of task ``i``, memoized."""
@@ -513,11 +583,10 @@ def chain_latency(
     Every link adds its response time plus one sampling period, except the
     head of the chain, whose own period does not delay data it produces.
     """
-    ci = inst.compiled
     wcrts = [wcrt.get(tid) for tid in chain.tasks]
     if None in wcrts:
         return None
-    return sum(wcrts) + sum([ci.period[ci.task_index[tid]] for tid in chain.tasks[1:]])
+    return sum(wcrts) + inst.compiled.chain_offset(chain)
 
 
 def _cpu_interferers(
@@ -569,10 +638,10 @@ def analyze(
         raise ModelError(f"unknown policy {policy!r}")
     if mode not in MODES:
         raise ModelError(f"unknown analysis mode {mode!r}")
+    ci = inst.compiled
     errors = validate_assignment(inst, assign)
     if errors:
         raise ModelError("invalid assignment: " + "; ".join(str(e) for e in errors))
-    ci = inst.compiled
 
     core, prio, views = ci.deploy(assign)
     suspensions = _suspensions(ci, prio, views, policy, mode)

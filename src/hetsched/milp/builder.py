@@ -47,10 +47,9 @@ that its own post-solve check then rejects as infeasible.
 
 Two families of aggregated valid inequalities tighten the LP relaxation.  The
 checkpoint rows tie ``R_t{i}`` to the analysis only through a big-M on each
-``y`` binary, so without the cuts the relaxation is weak.  On WATERS (2 vCPUs,
-HiGHS 1.12.0) rr min-max latency then took 6,446 branch-and-bound nodes and
-34 s; with them it takes one node and 0.6 s, and the four min-max solves of
-the benchmark's ``waters-optimize`` workload take 4 nodes instead of 7,085.
+``y`` binary, so without the cuts the relaxation is weak: the four min-max
+solves of the benchmark's ``waters-optimize`` workload took 7,085
+branch-and-bound nodes without them and take 4 with them.
 
 * ``c11e_t{i}`` (every policy): ``R_i >= e_i + s_i + sum_s I_{s,i}``.  The
   selected checkpoint gives ``R_i >= rho_{i,g}`` (``c11c``) and
@@ -80,32 +79,25 @@ Two more rows tighten the relaxation without cutting off a deployment:
   bounds ``rho_{i,g}``, is the big-M of ``c11c``, and ``c11b`` reads
   ``rho_{i,g} + (rc_g - v_g) * y_{i,g} <= rc_g``: ``rho <= v_g`` when the
   checkpoint is chosen and ``rho <= rc_g`` otherwise, for either sign of
-  ``rc_g - v_g``.  The grid ends at ``D_i``, so ``rc_g`` is at most the old
-  single cap of the task.
+  ``rc_g - v_g``.  The grid ends at ``D_i``, where ``rc_g`` peaks.
 
-With these three changes (2 vCPUs, HiGHS 1.12.0; whole ``optimize`` calls,
-parent then change), WATERS rr min-sum response time took 27.3 s and 5,686
-nodes before and 5.3 s and 892 nodes after; rr min-sum latency 21.4 s and
-3,210 nodes before, 8.3 s and 494 after; npfp min-sum latency 16.2 s and
-2,914 nodes before, 9.0 s and 1,538 after; the nocontention min-max latency
-tie-break needs 2 nodes instead of 110.  The rr min-max latency solve got
-slower (0.4 s to 1.0 s, one node both times) and the three min-max response
-time solves of ``waters-optimize`` faster.  On the 480 tiny solves of the
-benchmark's ``small-oracle`` (seed 1) HiGHS took 5.85 s and 443 nodes before
-and 5.09 s and 436 nodes after.  Without ``c10m`` the small-oracle gain
-disappears (seeds 3 and 4: 6.31 and 7.57 s against 5.15 and 6.57 s, 421 and
-585 nodes against 410 and 425).  The largest constant on WATERS fell from
-3,007,021 to 2,607,021.
+``c10m`` pays on small instances: without it, the benchmark's
+``small-oracle`` seeds 3 and 4 took 421 and 585 nodes instead of 410 and
+425, and took longer.  CHANGES.md holds the timings behind these choices.
 
 A smaller encoding with one symmetric ``sp`` column per unordered task pair
 (the solver only needs ``sp >= x_ik + x_sk - 1``) halves the WATERS model,
-953 to 485 columns under rr, but on top of these cuts it measured slower:
-those four solves took 15.4 s and 3,402 nodes instead of 3.4 s and 4 nodes.
+953 to 485 columns under rr, but on top of these cuts it is weaker: those
+four solves took 3,402 nodes instead of 4.
+
+Every assignment-independent constant (costs and their bounds, accelerator
+times, jitter bounds, checkpoint grids, interference multipliers, chain
+offsets) is read from the instance's
+:class:`~hetsched.analysis.CompiledInstance`, the view whose jitter bounds
+and grids the ``conservative`` analysis reads.
 """
 
 from __future__ import annotations
-
-from dataclasses import dataclass
 
 from hetsched.analysis import (
     MINMAX_LAT,
@@ -118,10 +110,9 @@ from hetsched.analysis import (
     POLICIES,
     RR,
     CompiledInstance,
-    _ceil_div,
 )
 from hetsched.milp.ir import MilpModel
-from hetsched.model import ImplType, ModelError, ProblemInstance, validate_instance
+from hetsched.model import ImplType, ModelError, ProblemInstance
 
 
 # Criterion 8's limit on every coefficient, variable bound and right-hand side
@@ -131,108 +122,52 @@ from hetsched.model import ImplType, ModelError, ProblemInstance, validate_insta
 COEFFICIENT_LIMIT = 2**40
 
 
-@dataclass(frozen=True)
-class _BigMs:
-    """Per-task constants and big-Ms of the encoding.
+# The caps below depend on the arbitration policy; every other constant of
+# the encoding is a table of the instance's compiled view.
 
-    Only the suspension caps, and the demand caps built on them, depend on
-    the arbitration policy; :meth:`suspension_caps` and :meth:`rho_caps` give
-    those.
-    """
 
-    period: tuple[int, ...]
-    deadline: tuple[int, ...]
-    jit: tuple[int, ...]  # release jitter constant (CPU interference)
-    ajit: tuple[int, ...]  # accelerator jitter constant
-    acc_idx: tuple[tuple[int, ...], ...]  # accelerable segments
-    accel: list[list[int]]  # accelerator time of each accelerable segment
-    max_accel: list[int]
-    sum_accel: list[int]
-    seg_cap: list[list[int]]  # upper bound on a segment's CPU-side cost
-    cmax: list[int]  # upper bound on a task's CPU-side cost
-    b_cap: list[int]  # npfp blocking cap
-    delta_cap: list[int]  # npfp accelerator-wait cap (c18b/c18c/c18e)
+def _suspension_caps(ci: CompiledInstance, policy: str) -> list[tuple[int, ...]]:
+    """Cap on the suspension of each accelerable segment (``sseg`` bounds,
+    the big-M of rr's ``c14``): its accelerator time plus the longest wait
+    the policy allows."""
+    longest = [max(times, default=0) for times in ci.accel_time]
+    everyone = sum(longest)
+    out = []
+    for i, times in enumerate(ci.accel_time):
+        if policy == NO_CONTENTION:
+            wait = 0
+        elif policy == RR:
+            wait = everyone - longest[i]
+        else:
+            wait = ci.deadline[i]
+        out.append(tuple(e_hw + wait for e_hw in times))
+    return out
 
-    @classmethod
-    def of(cls, ci: CompiledInstance) -> "_BigMs":
-        inst = ci.instance
-        tasks = inst.tasks
-        n = len(tasks)
-        ctypes = {c.type for c in inst.platform.cores}
-        seg_cap = []
-        for t in tasks:
-            caps = []
-            for seg in t.segments:
-                cap = 0
-                for ct in ctypes:
-                    if seg.impl is not ImplType.HWA:
-                        cap = max(cap, seg.exec_us[ct])
-                    if seg.impl.may_accelerate:
-                        cap = max(cap, seg.offload_us[ct] + seg.finalize_us[ct])
-                caps.append(cap)
-            seg_cap.append(caps)
-        acc_idx = ci.accelerable
-        accel = [[t.segments[j].accel_us or 0 for j in acc_idx[i]] for i, t in enumerate(tasks)]
-        max_accel = [max(a, default=0) for a in accel]
-        sum_accel = [sum(a) for a in accel]
-        period, deadline, ajit = ci.period, ci.deadline, ci.accel_jitter
-        b_cap = [max((max_accel[s] for s in range(n) if s != i), default=0) for i in range(n)]
-        delta_cap = [
-            b_cap[i]
-            + sum(
-                _ceil_div(deadline[i] + ajit[s], period[s]) * sum_accel[s]
-                for s in range(n)
-                if s != i and acc_idx[s]
-            )
-            for i in range(n)
-        ]
-        return cls(
-            period=period,
-            deadline=deadline,
-            jit=ci.jitter,
-            ajit=ajit,
-            acc_idx=acc_idx,
-            accel=accel,
-            max_accel=max_accel,
-            sum_accel=sum_accel,
-            seg_cap=seg_cap,
-            cmax=[sum(caps) for caps in seg_cap],
-            b_cap=b_cap,
-            delta_cap=delta_cap,
-        )
 
-    def suspension_caps(self, policy: str) -> list[dict[int, int]]:
-        """Cap on each accelerable segment's suspension (``sseg`` bounds)."""
-        n = len(self.deadline)
-        out = []
-        for i in range(n):
-            others = sum(self.max_accel[h] for h in range(n) if h != i)
-            caps = {}
-            for j, e_hw in zip(self.acc_idx[i], self.accel[i]):
-                if policy == NO_CONTENTION:
-                    caps[j] = e_hw
-                elif policy == RR:
-                    caps[j] = e_hw + others
-                else:
-                    caps[j] = e_hw + self.deadline[i]
-            out.append(caps)
-        return out
+def _demand_caps(ci: CompiledInstance, s_cap: list[int]) -> list[list[int]]:
+    """Cap on each task's demand at each of its checkpoints (``rho`` bounds,
+    ``c11b``/``c11c``): the ``c11a`` right-hand side with every column at its
+    upper bound."""
+    cmax = ci.cmax
+    return [
+        [cmax[i] + s_cap[i] + sum(c * cmax[s] for s, c in row) for row in rows]
+        for i, rows in enumerate(ci.cpu_multipliers)
+    ]
 
-    def rho_caps(self, s_cap: list[int], grid: tuple[list[int], ...]) -> list[list[int]]:
-        """Cap on each task's demand at each of its checkpoints (``rho``
-        bounds, ``c11b``/``c11c``): the ``c11a`` right-hand side with every
-        column at its upper bound."""
-        n = len(self.deadline)
-        T, jit, cmax = self.period, self.jit, self.cmax
-        return [
-            [
-                cmax[i]
-                + s_cap[i]
-                + sum(_ceil_div(nu + jit[s], T[s]) * cmax[s] for s in range(n) if s != i)
-                for nu in grid[i]
-            ]
-            for i in range(n)
-        ]
+
+def _npfp_caps(ci: CompiledInstance) -> tuple[list[int], list[int]]:
+    """Caps of npfp's blocking ``b`` and of its accelerator wait (``delta``
+    bounds, the big-M of ``c18b``/``c18c``/``c18e``): the longest request of
+    any other task, plus the backlog at the last accelerator checkpoint, the
+    deadline, of every other task's requests."""
+    times = ci.accel_time
+    longest = [max(t, default=0) for t in times]
+    b_cap = [max(longest[:i] + longest[i + 1 :], default=0) for i in range(len(times))]
+    delta_cap = [
+        b + sum(c * sum(times[s]) for s, c in rows[-1]) if rows else b
+        for b, rows in zip(b_cap, ci.accel_multipliers)
+    ]
+    return b_cap, delta_cap
 
 
 def encoding_magnitude(inst: ProblemInstance) -> int:
@@ -252,31 +187,34 @@ def encoding_magnitude(inst: ProblemInstance) -> int:
     ``c6`` triangle rows.  A chain adds the largest value its ``L_ch`` can
     take: the periods its ``lat`` row adds plus the deadlines of its tasks.
     """
-    caps = _BigMs.of(inst.compiled)
-    D, T = caps.deadline, caps.period
-    n = len(D)
-    s_cap = [0] * n  # the largest over the policies
-    for policy in POLICIES:
-        for i, ss in enumerate(caps.suspension_caps(policy)):
-            s_cap[i] = max(s_cap[i], sum(ss.values()))
+    ci = inst.compiled
+    D = ci.deadline
+    s_cap = [max(map(sum, caps)) for caps in zip(*(_suspension_caps(ci, p) for p in POLICIES))]
+    rho_cap = _demand_caps(ci, s_cap)
+    _, delta_cap = _npfp_caps(ci)
     out = 2
-    for i, (rc,) in enumerate(caps.rho_caps(s_cap, tuple([d] for d in D))):
-        out = max(out, rc, D[i], 2 * caps.cmax[i])
-        for s in range(n):
-            if s != i:
-                out = max(out, _ceil_div(D[i] + caps.jit[s], T[s]))
-        if caps.acc_idx[i]:
-            out = max(out, max(D[i], caps.max_accel[i]) + caps.delta_cap[i])
-            for s in range(n):
-                if s != i and caps.acc_idx[s]:
-                    out = max(out, _ceil_div(D[i] + caps.ajit[s], T[s]))
-    by_id = {t.id: t for t in inst.tasks}
+    for i, d in enumerate(D):
+        cpu_mult = [c for _, c in ci.cpu_multipliers[i][-1]]
+        out = max(out, rho_cap[i][-1], d, 2 * ci.cmax[i], *cpu_mult)
+        if ci.accelerable[i]:
+            accel_mult = [c for _, c in ci.accel_multipliers[i][-1]]
+            out = max(out, max(d, *ci.accel_time[i]) + delta_cap[i], *accel_mult)
     for chain in inst.chains:
-        tasks = [by_id[tid] for tid in chain.tasks]
-        out = max(
-            out, sum(t.period_us for t in tasks[1:]) + sum(t.deadline_us for t in tasks)
-        )
+        deadlines = sum(D[ci.task_index[tid]] for tid in chain.tasks)
+        out = max(out, ci.chain_offset(chain) + deadlines)
     return out
+
+
+def envelope_violation(inst: ProblemInstance) -> str | None:
+    """Why :func:`build_milp` would need a constant at or above
+    :data:`COEFFICIENT_LIMIT` for ``inst``, or None if it would not."""
+    magnitude = encoding_magnitude(inst)
+    if magnitude < COEFFICIENT_LIMIT:
+        return None
+    return (
+        f"time values too large: the deployment MILP would need a constant of "
+        f"{magnitude}, at or above 2**40; express the times in a coarser unit"
+    )
 
 
 def build_milp(inst: ProblemInstance, policy: str, objective: str) -> MilpModel:
@@ -285,9 +223,10 @@ def build_milp(inst: ProblemInstance, policy: str, objective: str) -> MilpModel:
         raise ModelError(f"unknown policy {policy!r}")
     if objective not in OBJECTIVES:
         raise ModelError(f"unknown objective {objective!r}")
-    errors = validate_instance(inst)
-    if errors:
-        raise ModelError("invalid instance: " + "; ".join(str(e) for e in errors))
+    ci = inst.compiled  # rejects a structurally invalid instance
+    problem = envelope_violation(inst)
+    if problem:
+        raise ModelError("invalid instance: tasks: " + problem)
     if objective in (MINMAX_LAT, MINSUM_LAT) and not inst.chains:
         raise ModelError("latency objectives require at least one chain")
 
@@ -295,38 +234,12 @@ def build_milp(inst: ProblemInstance, policy: str, objective: str) -> MilpModel:
     n = len(tasks)
     cores = list(inst.platform.cores)
     m = len(cores)
-    ctypes = [c.type for c in cores]
-
-    # ------------------------------------------------------------------ data
-    exec_cost: list[list[list[int] | None]] = []  # CPU execution per core
-    accf_cost: list[list[list[int] | None]] = []  # offload+finalize per core
-    accel_time: list[list[int | None]] = []
-    for t in tasks:
-        er, ar, et = [], [], []
-        for seg in t.segments:
-            e_k = [seg.exec_us[ct] for ct in ctypes] if seg.impl is not ImplType.HWA else None
-            a_k = (
-                [seg.offload_us[ct] + seg.finalize_us[ct] for ct in ctypes]
-                if seg.impl.may_accelerate
-                else None
-            )
-            er.append(e_k)
-            ar.append(a_k)
-            et.append(seg.accel_us if seg.impl.may_accelerate else None)
-        exec_cost.append(er)
-        accf_cost.append(ar)
-        accel_time.append(et)
-
-    ci = inst.compiled
-    caps = _BigMs.of(ci)
-    seg_cap, cmax, b_cap, delta_cap = caps.seg_cap, caps.cmax, caps.b_cap, caps.delta_cap
-    acc_idx, max_accel, sum_accel = caps.acc_idx, caps.max_accel, caps.sum_accel
-    period, deadline, jit, ajit = caps.period, caps.deadline, caps.jit, caps.ajit
-    ss_cap = caps.suspension_caps(policy)
-    s_cap = [sum(c.values()) for c in ss_cap]
+    acc_idx, accel, deadline = ci.accelerable, ci.accel_time, ci.deadline
+    seg_cap, cmax, emin = ci.seg_cmax, ci.cmax, ci.min_cpu
     wcrt_grid = ci.cpu_grid
-    rho_cap = caps.rho_caps(s_cap, wcrt_grid)
-    emin = ci.min_cpu
+    ss_cap = _suspension_caps(ci, policy)
+    s_cap = [sum(caps) for caps in ss_cap]
+    rho_cap = _demand_caps(ci, s_cap)
 
     model = MilpModel(name=f"deploy_{policy}_{objective}")
 
@@ -383,16 +296,20 @@ def build_milp(inst: ProblemInstance, policy: str, objective: str) -> MilpModel:
     R = [model.add_var(f"R_t{i}", ub=float(deadline[i]), integer=True) for i in range(n)]
 
     sseg = [
-        {j: model.add_var(f"sseg_t{i}_j{j}", ub=float(ss_cap[i][j])) for j in acc_idx[i]}
+        {
+            j: model.add_var(f"sseg_t{i}_j{j}", ub=float(cap))
+            for j, cap in zip(acc_idx[i], ss_cap[i])
+        }
         for i in range(n)
     ]
     s_var = [model.add_var(f"s_t{i}", ub=float(s_cap[i])) for i in range(n)]
 
     if policy == RR:
-        la = [model.add_var(f"la_t{i}", ub=float(max_accel[i])) for i in range(n)]
+        la = [model.add_var(f"la_t{i}", ub=float(max(accel[i], default=0))) for i in range(n)]
 
     if policy == NPFP:
-        accel_grid = [ci.accel_grid(i) for i in range(n)]
+        b_cap, delta_cap = _npfp_caps(ci)
+        accel_mult = ci.accel_multipliers
         eta: dict[tuple[int, int, int], int] = {}
         Hd: dict[tuple[int, int], int] = {}
         b: dict[int, int] = {}
@@ -401,18 +318,16 @@ def build_milp(inst: ProblemInstance, policy: str, objective: str) -> MilpModel:
         for i in range(n):
             if not acc_idx[i]:
                 continue
-            for j in acc_idx[i]:
+            for j, e_hw in zip(acc_idx[i], accel[i]):
                 for s in range(n):
                     if s != i:
-                        eta[i, j, s] = model.add_var(
-                            f"eta_t{i}_j{j}_t{s}", ub=float(accel_time[i][j] or 0)
-                        )
+                        eta[i, j, s] = model.add_var(f"eta_t{i}_j{j}_t{s}", ub=float(e_hw))
             for s in range(n):
                 if s != i:
-                    Hd[i, s] = model.add_var(f"Hd_t{i}_t{s}", ub=float(sum_accel[i]))
+                    Hd[i, s] = model.add_var(f"Hd_t{i}_t{s}", ub=float(sum(accel[i])))
             b[i] = model.add_var(f"b_t{i}", ub=float(b_cap[i]))
             for j in acc_idx[i]:
-                for g in range(len(accel_grid[i])):
+                for g in range(len(accel_mult[i])):
                     delta[i, j, g] = model.add_var(
                         f"delta_t{i}_j{j}_g{g}", ub=float(delta_cap[i])
                     )
@@ -466,22 +381,23 @@ def build_milp(inst: ProblemInstance, policy: str, objective: str) -> MilpModel:
                 )
 
     # ------------------------------------------- per-segment CPU-side WCET
+    ctypes = ci.core_type
     for i, t in enumerate(tasks):
-        for j in range(len(t.segments)):
+        for j, seg in enumerate(t.segments):
             cap = float(seg_cap[i][j])
-            if exec_cost[i][j] is not None:
+            if not seg.impl.must_accelerate:
                 model.add_row(
                     f"c8a_t{i}_j{j}",
                     [(eseg[i][j], 1.0), (a[i][j], cap)]
-                    + [(x[i][k], -float(exec_cost[i][j][k])) for k in range(m)],
+                    + [(x[i][k], -float(seg.cpu_wcet(ct, False))) for k, ct in enumerate(ctypes)],
                     ">=",
                     0.0,
                 )
-            if accf_cost[i][j] is not None:
+            if seg.impl.may_accelerate:
                 model.add_row(
                     f"c8b_t{i}_j{j}",
                     [(eseg[i][j], 1.0), (a[i][j], -cap)]
-                    + [(x[i][k], -float(accf_cost[i][j][k])) for k in range(m)],
+                    + [(x[i][k], -float(seg.cpu_wcet(ct, True))) for k, ct in enumerate(ctypes)],
                     ">=",
                     -cap,
                 )
@@ -515,13 +431,10 @@ def build_milp(inst: ProblemInstance, policy: str, objective: str) -> MilpModel:
 
     # ----------------------------------------------- checkpointed WCRT test
     for i in range(n):
-        for g, nu in enumerate(wcrt_grid[i]):
+        for g, (nu, row) in enumerate(zip(wcrt_grid[i], ci.cpu_multipliers[i])):
             cap = float(rho_cap[i][g])
             terms = [(rho[i][g], 1.0), (e[i], -1.0), (s_var[i], -1.0)]
-            for s in range(n):
-                if s != i:
-                    coef = _ceil_div(nu + jit[s], period[s])
-                    terms.append((I[s, i], -float(coef)))
+            terms += [(I[s, i], -float(coef)) for s, coef in row]
             model.add_row(f"c11a_t{i}_g{g}", terms, ">=", 0.0)
             model.add_row(f"c11b_t{i}_g{g}", [(rho[i][g], 1.0), (y[i][g], cap - nu)], "<=", cap)
             model.add_row(
@@ -544,12 +457,9 @@ def build_milp(inst: ProblemInstance, policy: str, objective: str) -> MilpModel:
     # ------------------------------------------------------- suspension bounds
     if policy == RR:
         for i in range(n):
-            for j in acc_idx[i]:
-                e_hw = float(accel_time[i][j] or 0)
-                model.add_row(f"c13_t{i}_j{j}", [(la[i], 1.0), (a[i][j], -e_hw)], ">=", 0.0)
-            for j in acc_idx[i]:
-                e_hw = float(accel_time[i][j] or 0)
-                m14 = float(ss_cap[i][j])
+            for j, e_hw in zip(acc_idx[i], accel[i]):
+                model.add_row(f"c13_t{i}_j{j}", [(la[i], 1.0), (a[i][j], -float(e_hw))], ">=", 0.0)
+            for j, e_hw, m14 in zip(acc_idx[i], accel[i], map(float, ss_cap[i])):
                 model.add_row(
                     f"c14_t{i}_j{j}",
                     [(sseg[i][j], 1.0), (a[i][j], -m14)]
@@ -559,10 +469,9 @@ def build_milp(inst: ProblemInstance, policy: str, objective: str) -> MilpModel:
                 )
     elif policy == NO_CONTENTION:
         for i in range(n):
-            for j in acc_idx[i]:
-                e_hw = float(accel_time[i][j] or 0)
+            for j, e_hw in zip(acc_idx[i], accel[i]):
                 model.add_row(
-                    f"c14_t{i}_j{j}", [(sseg[i][j], 1.0), (a[i][j], -e_hw)], ">=", 0.0
+                    f"c14_t{i}_j{j}", [(sseg[i][j], 1.0), (a[i][j], -float(e_hw))], ">=", 0.0
                 )
     else:  # NPFP
         for i in range(n):
@@ -571,16 +480,14 @@ def build_milp(inst: ProblemInstance, policy: str, objective: str) -> MilpModel:
             for s in range(n):
                 if s == i:
                     continue
-                for f in acc_idx[s]:
-                    e_hw = float(accel_time[s][f] or 0)
+                for f, e_hw in zip(acc_idx[s], map(float, accel[s])):
                     model.add_row(
                         f"c16_t{i}_t{s}_j{f}",
                         [(b[i], 1.0), (a[s][f], -e_hw), (hp[i, s], -e_hw)],
                         ">=",
                         -e_hw,
                     )
-                for j in acc_idx[i]:
-                    e_hw = float(accel_time[i][j] or 0)
+                for j, e_hw in zip(acc_idx[i], map(float, accel[i])):
                     model.add_row(
                         f"c17a_t{i}_j{j}_t{s}",
                         [(eta[i, j, s], 1.0), (a[i][j], -e_hw), (hp[i, s], -e_hw)],
@@ -594,15 +501,11 @@ def build_milp(inst: ProblemInstance, policy: str, objective: str) -> MilpModel:
                     0.0,
                 )
             dcap = float(delta_cap[i])
-            for j in acc_idx[i]:
-                e_hw = float(accel_time[i][j] or 0)
+            for j, e_hw in zip(acc_idx[i], map(float, accel[i])):
                 m2 = e_hw + dcap
-                for g, nu in enumerate(accel_grid[i]):
+                for g, (nu, row) in enumerate(zip(ci.accel_grid(i), accel_mult[i])):
                     terms = [(delta[i, j, g], 1.0), (b[i], -1.0)]
-                    for s in range(n):
-                        if s != i and acc_idx[s]:
-                            coef = _ceil_div(nu + ajit[s], period[s])
-                            terms.append((Hd[s, i], -float(coef)))
+                    terms += [(Hd[s, i], -float(coef)) for s, coef in row]
                     model.add_row(f"c18a_t{i}_j{j}_g{g}", terms, ">=", 0.0)
                     model.add_row(
                         f"c18b_t{i}_j{j}_g{g}",
@@ -618,7 +521,7 @@ def build_milp(inst: ProblemInstance, policy: str, objective: str) -> MilpModel:
                     )
                 model.add_row(
                     f"c18d_t{i}_j{j}",
-                    [(sigma[i, j, g], 1.0) for g in range(len(accel_grid[i]))]
+                    [(sigma[i, j, g], 1.0) for g in range(len(accel_mult[i]))]
                     + [(a[i][j], -1.0)],
                     "==",
                     0.0,
@@ -643,21 +546,17 @@ def build_milp(inst: ProblemInstance, policy: str, objective: str) -> MilpModel:
         # Tasks without accelerable segments have s fixed to 0 by its bounds.
 
     # --------------------------------------------------------------- objective
-    task_pos = {t.id: i for i, t in enumerate(tasks)}
     if objective in (MINMAX_LAT, MINSUM_LAT):
         L = []
-        for ci, chain in enumerate(inst.chains):
-            lv = model.add_var(f"L_ch{ci}", integer=True)
+        for ch, chain in enumerate(inst.chains):
+            lv = model.add_var(f"L_ch{ch}", integer=True)
             L.append(lv)
-            const = sum(period[task_pos[tid]] for tid in chain.tasks[1:])
-            terms = [(lv, 1.0)]
-            for tid in chain.tasks:
-                terms.append((R[task_pos[tid]], -1.0))
-            model.add_row(f"lat_ch{ci}", terms, ">=", float(const))
+            terms = [(lv, 1.0)] + [(R[ci.task_index[tid]], -1.0) for tid in chain.tasks]
+            model.add_row(f"lat_ch{ch}", terms, ">=", float(ci.chain_offset(chain)))
         if objective == MINMAX_LAT:
             lmax = model.add_var("Lmax", integer=True)
-            for ci in range(len(inst.chains)):
-                model.add_row(f"lmax_ch{ci}", [(lmax, 1.0), (L[ci], -1.0)], ">=", 0.0)
+            for ch, lv in enumerate(L):
+                model.add_row(f"lmax_ch{ch}", [(lmax, 1.0), (lv, -1.0)], ">=", 0.0)
             model.set_objective([(lmax, 1.0)])
         else:
             model.set_objective([(lv, 1.0) for lv in L])
@@ -674,11 +573,10 @@ def build_milp(inst: ProblemInstance, policy: str, objective: str) -> MilpModel:
         "objective": objective,
         "tasks": [t.id for t in tasks],
         "cores": [c.id for c in cores],
-        "chains": [c.id for c in inst.chains],
         "segments": {t.id: len(t.segments) for t in tasks},
         "accelerable": {t.id: list(acc_idx[i]) for i, t in enumerate(tasks)},
         "wcrt_grid": {t.id: list(wcrt_grid[i]) for i, t in enumerate(tasks)},
     }
     if policy == NPFP:
-        model.meta["accel_grid"] = {t.id: list(accel_grid[i]) for i, t in enumerate(tasks)}
+        model.meta["accel_grid"] = {t.id: list(ci.accel_grid(i)) for i, t in enumerate(tasks)}
     return model

@@ -11,6 +11,11 @@ from hetsched.milp.ir import MilpModel
 from hetsched.model import Assignment, ModelError, ProblemInstance, validate_assignment
 
 
+# How far, relative to its size, a solver's claimed objective may sit from
+# the analyzed one.
+CLAIM_TOLERANCE = 1e-6
+
+
 class SolutionDecodeError(ModelError):
     """The solver returned values that do not round to a valid deployment."""
 
@@ -69,18 +74,17 @@ def verify_solution(
     policy: str,
     objective: str,
     claimed: float | None = None,
-    tol: float = 1e-6,
     proven: bool = False,
 ) -> VerificationResult:
     """Independently re-derive the decoded deployment's objective value.
 
     The deployment must be valid and pass the conservative schedulability
     test, and the recomputed objective must not beat the solver's claim by
-    more than ``tol`` (the solver may legitimately claim a worse value when
-    stopped early, never a better one).  A ``proven`` claim, an optimum
-    proved at a zero gap, must not exceed the recomputed objective by more
-    than ``tol`` either: a deployment that beats the proven optimum refutes
-    the proof.
+    more than :data:`CLAIM_TOLERANCE` (the solver may legitimately claim a
+    worse value when stopped early, never a better one).  A ``proven``
+    claim, an optimum proved at a zero gap, must not exceed the recomputed
+    objective by more than that either: a deployment that beats the proven
+    optimum refutes the proof.
     """
     errors = validate_assignment(inst, assignment)
     if errors:
@@ -99,7 +103,7 @@ def verify_solution(
             message="deployment fails the conservative schedulability test",
         )
     if claimed is not None:
-        slack = tol * max(1.0, abs(claimed))
+        slack = CLAIM_TOLERANCE * max(1.0, abs(claimed))
         if float(value) > claimed + slack:
             return VerificationResult(
                 ok=False,

@@ -73,9 +73,6 @@ class MilpModel:
     def var(self, name: str) -> int:
         return self._col_of[name]
 
-    def has_var(self, name: str) -> bool:
-        return name in self._col_of
-
     def is_binary(self, i: int) -> bool:
         return self.integer[i] and self.col_lower[i] >= 0.0 and self.col_upper[i] <= 1.0
 

@@ -84,6 +84,12 @@ class SegmentSpec:
             return self.offload_us[core_type] + self.finalize_us[core_type]
         return self.exec_us[core_type]
 
+    def cpu_costs(self, core_type: str) -> list[int]:
+        """:meth:`cpu_wcet` under each placement the segment's type allows:
+        on the CPU unless it must be accelerated, accelerated if it may be."""
+        allowed = (not self.impl.must_accelerate, self.impl.may_accelerate)
+        return [self.cpu_wcet(core_type, acc) for acc, ok in zip((False, True), allowed) if ok]
+
 
 @dataclass(frozen=True)
 class TaskSpec:
@@ -131,12 +137,6 @@ class ProblemInstance:
                 return t
         raise KeyError(task_id)
 
-    def core(self, core_id: str) -> Core:
-        for c in self.platform.cores:
-            if c.id == core_id:
-                return c
-        raise KeyError(core_id)
-
     @cached_property
     def compiled(self) -> CompiledInstance:
         """The index-based view that the analysis, the brute-force search and
@@ -170,9 +170,6 @@ class Assignment:
 
     def accelerated_of(self, task_id: str) -> frozenset[int]:
         return self.accelerated.get(task_id, frozenset())
-
-    def is_accelerated(self, task_id: str, segment_index: int) -> bool:
-        return segment_index in self.accelerated_of(task_id)
 
 
 class ModelError(ValueError):
@@ -210,11 +207,26 @@ def _check_wcet_table(
 
 
 def validate_instance(inst: ProblemInstance) -> list[Violation]:
-    """Check structural invariants; returns an empty list for a valid instance.
+    """Check structural invariants and the numeric envelope; returns an empty
+    list for a valid instance.
 
     Violations are returned as data (path + message) rather than raised so a
     caller can report all of them at once.
     """
+    out = structural_violations(inst)
+    if not out:
+        # The numeric envelope is the MILP encoder's, so it lives with the encoder.
+        from hetsched.milp.builder import envelope_violation
+
+        problem = envelope_violation(inst)
+        if problem:
+            out.append(Violation("tasks", problem))
+    return out
+
+
+def structural_violations(inst: ProblemInstance) -> list[Violation]:
+    """:func:`validate_instance` without the numeric envelope: the checks an
+    instance must pass before any constant of it can be computed."""
     out: list[Violation] = []
     plat = inst.platform
 
@@ -289,20 +301,6 @@ def validate_instance(inst: ProblemInstance) -> list[Violation]:
         for pos, tid in enumerate(chain.tasks):
             if tid not in seen_tasks:
                 out.append(Violation(f"{cpath}.tasks[{pos}]", f"unknown task id {tid!r}"))
-
-    if not out:
-        # The numeric envelope is the MILP encoder's, so it lives with the encoder.
-        from hetsched.milp.builder import COEFFICIENT_LIMIT, encoding_magnitude
-
-        magnitude = encoding_magnitude(inst)
-        if magnitude >= COEFFICIENT_LIMIT:
-            out.append(
-                Violation(
-                    "tasks",
-                    f"time values too large: the deployment MILP would need a constant of "
-                    f"{magnitude}, at or above 2**40; express the times in a coarser unit",
-                )
-            )
     return out
 
 

@@ -122,6 +122,9 @@ def simulate(
     """Run the deployment and report observed response times per task."""
     if policy not in POLICIES:
         raise ModelError(f"unknown policy {policy!r}")
+    # Building the compiled view rejects a malformed instance.  The simulator
+    # reads none of its tables, so that it stays independent of the analysis.
+    inst.compiled
     errors = validate_assignment(inst, assignment)
     if errors:
         raise ModelError("invalid assignment: " + "; ".join(str(e) for e in errors))

@@ -5,6 +5,9 @@ from fractions import Fraction
 
 import pytest
 
+from hetsched.analysis import analyze
+from hetsched.bruteforce import best_assignment
+from hetsched.milp import build_milp
 from hetsched.model import (
     Assignment,
     ChainSpec,
@@ -28,6 +31,7 @@ from hetsched.model import (
     validate_instance,
     waters_published_assignment,
 )
+from hetsched.simulator import simulate
 
 
 @pytest.fixture
@@ -115,6 +119,38 @@ def test_chain_referencing_unknown_task_is_flagged(tiny):
         chains=(ChainSpec(id="ch", tasks=("t1", "ghost")),),
     )
     assert any("ghost" in v.message for v in validate_instance(bad))
+
+
+ROUTES = {
+    "analyze": lambda inst, asg: analyze(inst, asg, "rr"),
+    "best_assignment": lambda inst, asg: best_assignment(inst, "rr", "minmax-rt"),
+    "simulate": lambda inst, asg: simulate(inst, asg, "rr"),
+    "build_milp": lambda inst, asg: build_milp(inst, "rr", "minmax-rt"),
+}
+
+
+@pytest.mark.parametrize("route", sorted(ROUTES))
+@pytest.mark.parametrize("fault", ["missing WCET", "period 0"])
+def test_every_route_rejects_a_malformed_instance(tiny, route, fault):
+    # t1 runs on the core whose type its segment gives no WCET for, so a
+    # route that read that WCET before checking would raise a KeyError.
+    t1, t2 = tiny.tasks
+    if fault == "missing WCET":
+        platform = PlatformSpec(
+            core_types=("big", "b"), cores=(Core("c0", "big"), Core("c1", "b"))
+        )
+        bad = ProblemInstance(platform=platform, tasks=(t1, t2), chains=tiny.chains)
+        reason = "missing WCET for core type 'b'"
+    else:
+        t1 = TaskSpec(id="t1", period_us=0, deadline_us=0, segments=t1.segments)
+        bad = ProblemInstance(platform=tiny.platform, tasks=(t1, t2), chains=tiny.chains)
+        reason = "period must be positive"
+    asg = Assignment(
+        core_of={"t1": "c1", "t2": "c0"}, priority_of={"t1": 2, "t2": 1}, accelerated={}
+    )
+    with pytest.raises(ModelError, match="invalid instance") as err:
+        ROUTES[route](bad, asg)
+    assert reason in str(err.value)
 
 
 def test_instance_json_round_trip(tiny):

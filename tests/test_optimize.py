@@ -166,6 +166,12 @@ def test_instance_just_outside_the_numeric_envelope_is_rejected():
         optimize(inst, "rr", "minmax-rt")
 
 
+def test_instance_outside_the_numeric_envelope_still_analyzes():
+    # The envelope bounds the MILP's constants; the analysis takes any size.
+    ref = best_assignment(_twin(ENVELOPE_EDGE + 1), "rr", "minmax-rt")
+    assert ref.objective == Fraction(1, 2)
+
+
 @pytest.mark.parametrize("case", PRESOLVE_CUTOFFS, ids=lambda c: c["origin"].split()[0])
 def test_presolve_cutoff_instances_reach_the_brute_force_optimum(case):
     inst = instance_from_dict(case["instance"])
