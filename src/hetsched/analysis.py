@@ -31,8 +31,8 @@ from hetsched.model import (
     ModelError,
     ProblemInstance,
     TaskSpec,
+    Violation,
     structural_violations,
-    validate_assignment,
 )
 
 # Accelerator arbitration policies.
@@ -262,8 +262,9 @@ class CompiledInstance:
     attribute as read-only.
 
     Building the view rejects an instance that fails
-    :func:`~hetsched.model.structural_violations`, so every route that reads
-    it validates its input.
+    :func:`~hetsched.model.structural_violations`, and :meth:`deploy`
+    rejects a deployment that fails :meth:`assignment_violations`, so every
+    route that reads it validates its input.
     """
 
     def __init__(self, inst: ProblemInstance):
@@ -285,6 +286,12 @@ class CompiledInstance:
     def accelerable(self) -> tuple[tuple[int, ...], ...]:
         """Accelerable segments of each task."""
         return tuple(tuple(t.accelerable_segments()) for t in self.instance.tasks)
+
+    @cached_property
+    def forced(self) -> tuple[frozenset[int], ...]:
+        """Accelerator-only segments of each task, which every deployment
+        accelerates."""
+        return tuple(frozenset(t.forced_segments()) for t in self.instance.tasks)
 
     @cached_property
     def accel_time(self) -> tuple[tuple[int, ...], ...]:
@@ -402,8 +409,55 @@ class CompiledInstance:
             )
         return v
 
+    def assignment_violations(self, assign: Assignment) -> list[Violation]:
+        """Check a deployment against the instance (every task has a known
+        core, priorities form a permutation of 1..n, acceleration choices
+        respect segment types); returns an empty list for a valid one."""
+        out: list[Violation] = []
+        core_of, priority_of = assign.core_of, assign.priority_of
+        for tid in self.task_ids:
+            if tid not in core_of:
+                out.append(Violation(f"core_of.{tid}", "missing core"))
+            elif core_of[tid] not in self.core_index:
+                out.append(Violation(f"core_of.{tid}", f"unknown core {core_of[tid]!r}"))
+            if tid not in priority_of:
+                out.append(Violation(f"priority_of.{tid}", "missing priority"))
+        for tid in core_of:
+            if tid not in self.task_index:
+                out.append(Violation(f"core_of.{tid}", "unknown task"))
+        n = len(self.task_ids)
+        if sorted(priority_of.get(t, 0) for t in self.task_ids) != list(range(1, n + 1)):
+            out.append(Violation("priority_of", f"priorities must be a permutation of 1..{n}"))
+
+        for tid, segs in assign.accelerated.items():
+            path = f"accelerated.{tid}"
+            i = self.task_index.get(tid)
+            if i is None:
+                out.append(Violation(path, "unknown task"))
+                continue
+            for j in segs:
+                if not 0 <= j < len(self.instance.tasks[i].segments):
+                    out.append(Violation(path, f"segment index {j} out of range"))
+                elif j not in self.accelerable[i]:
+                    out.append(Violation(path, f"segment {j} cannot run on the accelerator"))
+        for tid, forced in zip(self.task_ids, self.forced):
+            missing = sorted(forced - assign.accelerated_of(tid))
+            if missing:
+                message = f"accelerator-only segments {missing} must be accelerated"
+                out.append(Violation(f"accelerated.{tid}", message))
+        return out
+
+    def check(self, assign: Assignment) -> None:
+        """Raise :class:`ModelError` if :meth:`assignment_violations` finds
+        anything."""
+        errors = self.assignment_violations(assign)
+        if errors:
+            raise ModelError("invalid assignment: " + "; ".join(str(e) for e in errors))
+
     def deploy(self, assign: Assignment) -> tuple[list[int], list[int], list[SelfSuspendingView]]:
-        """Core index, priority and self-suspending view of each task."""
+        """Core index, priority and self-suspending view of each task of a
+        deployment that passes :meth:`check`."""
+        self.check(assign)
         core = [self.core_index[assign.core_of[tid]] for tid in self.task_ids]
         prio = [assign.priority_of[tid] for tid in self.task_ids]
         views = [
@@ -639,10 +693,6 @@ def analyze(
     if mode not in MODES:
         raise ModelError(f"unknown analysis mode {mode!r}")
     ci = inst.compiled
-    errors = validate_assignment(inst, assign)
-    if errors:
-        raise ModelError("invalid assignment: " + "; ".join(str(e) for e in errors))
-
     core, prio, views = ci.deploy(assign)
     suspensions = _suspensions(ci, prio, views, policy, mode)
     n = len(prio)

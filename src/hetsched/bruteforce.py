@@ -34,11 +34,9 @@ from hetsched.model import Assignment, ModelError, ProblemInstance
 
 def search_space_size(inst: ProblemInstance) -> int:
     """Number of deployments :func:`enumerate_assignments` would yield."""
-    n = len(inst.tasks)
-    m = len(inst.platform.cores)
-    optional = sum(
-        len(set(t.accelerable_segments()) - set(t.forced_segments())) for t in inst.tasks
-    )
+    ci = inst.compiled
+    n, m = len(ci.task_ids), len(ci.core_index)
+    optional = sum(len(acc) - len(forced) for acc, forced in zip(ci.accelerable, ci.forced))
     return m**n * math.factorial(n) * 2**optional
 
 
@@ -55,15 +53,16 @@ def enumerate_assignments(inst: ProblemInstance) -> Iterator[Assignment]:
 def _deployments(inst: ProblemInstance, per_core_orders: bool) -> Iterator[Assignment]:
     """:func:`enumerate_assignments`, optionally keeping only the first
     priority permutation of each set of per-core priority orders."""
-    ids = [t.id for t in inst.tasks]
+    ci = inst.compiled
+    ids = ci.task_ids
     n = len(ids)
-    cores = [c.id for c in inst.platform.cores]
-    forced = {t.id: frozenset(t.forced_segments()) for t in inst.tasks}
+    cores = list(ci.core_index)
+    forced = dict(zip(ids, ci.forced))
     optional = [
-        (t.id, j)
-        for t in inst.tasks
-        for j in t.accelerable_segments()
-        if j not in forced[t.id]
+        (tid, j)
+        for tid, acc, fixed in zip(ids, ci.accelerable, ci.forced)
+        for j in acc
+        if j not in fixed
     ]
     accel_choices = []
     for bits in product((False, True), repeat=len(optional)):

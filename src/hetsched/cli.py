@@ -11,7 +11,6 @@ from __future__ import annotations
 import argparse
 import json
 import sys
-from fractions import Fraction
 
 from hetsched.analysis import (
     EXACT,
@@ -43,7 +42,7 @@ def _load_inputs(args, check: bool = True) -> ProblemInstance:
     """Load (and scale) the instance; with ``check`` reject an invalid one."""
     inst = load_instance(args.instance)
     if getattr(args, "scale", None) is not None:
-        inst = scale_wcets(inst, Fraction(args.scale))
+        inst = scale_wcets(inst, args.scale)
     errors = validate_instance(inst) if check else []
     if errors:
         raise ModelError("invalid instance: " + "; ".join(str(e) for e in errors))

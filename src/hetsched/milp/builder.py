@@ -103,7 +103,6 @@ from hetsched.analysis import (
     MINMAX_LAT,
     MINMAX_RT,
     MINSUM_LAT,
-    MINSUM_RT,
     NO_CONTENTION,
     NPFP,
     OBJECTIVES,

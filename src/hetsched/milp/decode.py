@@ -8,7 +8,7 @@ from fractions import Fraction
 
 from hetsched.analysis import CONSERVATIVE, AnalysisReport, analyze, evaluate_objective
 from hetsched.milp.ir import MilpModel
-from hetsched.model import Assignment, ModelError, ProblemInstance, validate_assignment
+from hetsched.model import Assignment, ModelError, ProblemInstance
 
 
 # How far, relative to its size, a solver's claimed objective may sit from
@@ -86,7 +86,7 @@ def verify_solution(
     objective by more than that either: a deployment that beats the proven
     optimum refutes the proof.
     """
-    errors = validate_assignment(inst, assignment)
+    errors = inst.compiled.assignment_violations(assignment)
     if errors:
         raise SolutionDecodeError(
             "decoded deployment is invalid: " + "; ".join(str(e) for e in errors)

@@ -305,56 +305,9 @@ def structural_violations(inst: ProblemInstance) -> list[Violation]:
 
 
 def validate_assignment(inst: ProblemInstance, assign: Assignment) -> list[Violation]:
-    """Check an assignment against its instance (cores exist, priorities form a
-    permutation of 1..n, acceleration choices respect segment types)."""
-    out: list[Violation] = []
-    task_ids = [t.id for t in inst.tasks]
-    by_id: dict[str, TaskSpec] = {}
-    for t in inst.tasks:
-        by_id.setdefault(t.id, t)  # the first of duplicates, as inst.task() finds
-    core_ids = {c.id for c in inst.platform.cores}
-
-    for tid in task_ids:
-        if tid not in assign.core_of:
-            out.append(Violation(f"core_of.{tid}", "missing core"))
-        elif assign.core_of[tid] not in core_ids:
-            out.append(Violation(f"core_of.{tid}", f"unknown core {assign.core_of[tid]!r}"))
-        if tid not in assign.priority_of:
-            out.append(Violation(f"priority_of.{tid}", "missing priority"))
-    for tid in assign.core_of:
-        if tid not in by_id:
-            out.append(Violation(f"core_of.{tid}", "unknown task"))
-    prios = sorted(assign.priority_of.get(t, 0) for t in task_ids)
-    if prios != list(range(1, len(task_ids) + 1)):
-        out.append(
-            Violation("priority_of", f"priorities must be a permutation of 1..{len(task_ids)}")
-        )
-
-    for tid, segs in assign.accelerated.items():
-        if tid not in by_id:
-            out.append(Violation(f"accelerated.{tid}", "unknown task"))
-            continue
-        task = by_id[tid]
-        for j in segs:
-            if not 0 <= j < len(task.segments):
-                out.append(Violation(f"accelerated.{tid}", f"segment index {j} out of range"))
-            elif not task.segments[j].impl.may_accelerate:
-                out.append(
-                    Violation(f"accelerated.{tid}", f"segment {j} cannot run on the accelerator")
-                )
-    for tid in task_ids:
-        task = by_id[tid]
-        forced = set(task.forced_segments())
-        chosen = set(assign.accelerated_of(tid))
-        missing = forced - chosen
-        if missing:
-            out.append(
-                Violation(
-                    f"accelerated.{tid}",
-                    f"accelerator-only segments {sorted(missing)} must be accelerated",
-                )
-            )
-    return out
+    """:meth:`~hetsched.analysis.CompiledInstance.assignment_violations` of the
+    instance's compiled view, which rejects a structurally invalid instance."""
+    return inst.compiled.assignment_violations(assign)
 
 
 # ---------------------------------------------------------------------------
@@ -363,12 +316,35 @@ def validate_assignment(inst: ProblemInstance, assign: Assignment) -> list[Viola
 # ---------------------------------------------------------------------------
 
 
+def _loads(text: str):
+    try:
+        return json.loads(text)
+    except json.JSONDecodeError as exc:
+        raise ModelError(f"invalid JSON: {exc}") from None
+
+
+def _object(v, path: str) -> dict:
+    if not isinstance(v, dict):
+        raise ModelError(f"{path}: expected an object")
+    return v
+
+
+def _list(v, path: str) -> list:
+    if not isinstance(v, list):
+        raise ModelError(f"{path}: expected an array")
+    return v
+
+
+def _bool(v, path: str) -> bool:
+    if not isinstance(v, bool):
+        raise ModelError(f"{path}: expected true or false")
+    return v
+
+
 def _take(obj: dict, path: str, keys: dict[str, bool]) -> dict:
     """Pop declared keys from ``obj``; fail on leftovers or missing required ones."""
-    if not isinstance(obj, dict):
-        raise ModelError(f"{path}: expected an object")
     data = {}
-    o = dict(obj)
+    o = dict(_object(obj, path))
     for key, required in keys.items():
         if key in o:
             data[key] = o.pop(key)
@@ -397,24 +373,24 @@ def instance_from_dict(doc: dict) -> ProblemInstance:
 
     p = _take(top["platform"], "platform", {"core_types": True, "cores": True, "accelerator": True})
     cores = []
-    for i, c in enumerate(p["cores"]):
+    for i, c in enumerate(_list(p["cores"], "platform.cores")):
         cd = _take(c, f"platform.cores[{i}]", {"id": True, "type": True})
         cores.append(Core(id=str(cd["id"]), type=str(cd["type"])))
     platform = PlatformSpec(
-        core_types=tuple(str(t) for t in p["core_types"]),
+        core_types=tuple(str(t) for t in _list(p["core_types"], "platform.core_types")),
         cores=tuple(cores),
-        accelerator=bool(p["accelerator"]),
+        accelerator=_bool(p["accelerator"], "platform.accelerator"),
     )
 
     tasks = []
-    for i, t in enumerate(top["tasks"]):
+    for i, t in enumerate(_list(top["tasks"], "tasks")):
         td = _take(
             t,
             f"tasks[{i}]",
             {"id": True, "period_us": True, "deadline_us": True, "segments": True},
         )
         segments = []
-        for j, s in enumerate(td["segments"]):
+        for j, s in enumerate(_list(td["segments"], f"tasks[{i}].segments")):
             spath = f"tasks[{i}].segments[{j}]"
             sd = _take(
                 s,
@@ -451,9 +427,10 @@ def instance_from_dict(doc: dict) -> ProblemInstance:
         )
 
     chains = []
-    for i, c in enumerate(top.get("chains", [])):
+    for i, c in enumerate(_list(top.get("chains", []), "chains")):
         cd = _take(c, f"chains[{i}]", {"id": True, "tasks": True})
-        chains.append(ChainSpec(id=str(cd["id"]), tasks=tuple(str(x) for x in cd["tasks"])))
+        links = _list(cd["tasks"], f"chains[{i}].tasks")
+        chains.append(ChainSpec(id=str(cd["id"]), tasks=tuple(str(x) for x in links)))
 
     return ProblemInstance(platform=platform, tasks=tuple(tasks), chains=tuple(chains))
 
@@ -489,7 +466,7 @@ def instance_to_dict(inst: ProblemInstance) -> dict:
 
 
 def instance_from_json(text: str) -> ProblemInstance:
-    return instance_from_dict(json.loads(text))
+    return instance_from_dict(_loads(text))
 
 
 def instance_to_json(inst: ProblemInstance) -> str:
@@ -498,10 +475,16 @@ def instance_to_json(inst: ProblemInstance) -> str:
 
 def assignment_from_dict(doc: dict) -> Assignment:
     d = _take(doc, "$", {"core_of": True, "priority_of": True, "accelerated": True})
-    accelerated = {str(t): frozenset(int(j) for j in idxs) for t, idxs in d["accelerated"].items()}
+    accelerated = {
+        str(t): frozenset(_int(j, f"accelerated.{t}") for j in _list(idxs, f"accelerated.{t}"))
+        for t, idxs in _object(d["accelerated"], "accelerated").items()
+    }
     return Assignment(
-        core_of={str(k): str(v) for k, v in d["core_of"].items()},
-        priority_of={str(k): int(v) for k, v in d["priority_of"].items()},
+        core_of={str(k): str(v) for k, v in _object(d["core_of"], "core_of").items()},
+        priority_of={
+            str(k): _int(v, f"priority_of.{k}")
+            for k, v in _object(d["priority_of"], "priority_of").items()
+        },
         accelerated=accelerated,
     )
 
@@ -515,7 +498,7 @@ def assignment_to_dict(assign: Assignment) -> dict:
 
 
 def assignment_from_json(text: str) -> Assignment:
-    return assignment_from_dict(json.loads(text))
+    return assignment_from_dict(_loads(text))
 
 
 def assignment_to_json(assign: Assignment) -> str:
@@ -532,14 +515,17 @@ def _as_fraction(factor) -> Fraction:
         return factor
     if isinstance(factor, int):
         return Fraction(factor)
-    if isinstance(factor, str):
-        return Fraction(factor)
     if isinstance(factor, float):
         # Interpret the float through its shortest decimal representation so
         # that a CLI-style 0.8 means exactly 8/10 and 15 * 0.8 scales to 12,
         # not 13 (which naive binary-float ceiling would produce).
-        return Fraction(repr(factor))
-    raise ModelError(f"unsupported scale factor type: {type(factor).__name__}")
+        factor = repr(factor)
+    if not isinstance(factor, str):
+        raise ModelError(f"unsupported scale factor type: {type(factor).__name__}")
+    try:
+        return Fraction(factor)
+    except (ValueError, ZeroDivisionError):
+        raise ModelError(f"invalid scale factor {factor!r}") from None
 
 
 def scale_wcets(inst: ProblemInstance, factor) -> ProblemInstance:

@@ -42,12 +42,7 @@ from dataclasses import dataclass, field
 from typing import NamedTuple
 
 from hetsched.analysis import NO_CONTENTION, NPFP, POLICIES, RR
-from hetsched.model import (
-    Assignment,
-    ModelError,
-    ProblemInstance,
-    validate_assignment,
-)
+from hetsched.model import Assignment, ModelError, ProblemInstance
 
 _CPU = "cpu"
 _ACCEL = "accel"
@@ -122,12 +117,10 @@ def simulate(
     """Run the deployment and report observed response times per task."""
     if policy not in POLICIES:
         raise ModelError(f"unknown policy {policy!r}")
-    # Building the compiled view rejects a malformed instance.  The simulator
-    # reads none of its tables, so that it stays independent of the analysis.
-    inst.compiled
-    errors = validate_assignment(inst, assignment)
-    if errors:
-        raise ModelError("invalid assignment: " + "; ".join(str(e) for e in errors))
+    # The compiled view rejects a malformed instance or deployment.  The
+    # simulator reads none of its analysis tables, so that it stays
+    # independent of the analysis.
+    inst.compiled.check(assignment)
 
     rng = random.Random(seed) if seed is not None else None
     horizon = default_horizon(inst) if horizon_us is None else horizon_us
@@ -152,9 +145,9 @@ def simulate(
     running: dict[str, _Job | None] = {c.id: None for c in inst.platform.cores}
     dirty: set[str] = set()  # cores whose jobs changed state since the last dispatch
     pending: dict[str, _Job] = {}  # accelerator requests awaiting a grant
-    device_job: _Job | None = None  # RR/NPFP: the request being served
-    device_done = None  # absolute completion time of device_job
-    nc_done: list[tuple[int, _Job]] = []  # NoContention: parallel completions
+    # Requests in service, as (absolute completion time, job): at most one
+    # under RR/NPFP, any number under NoContention.
+    serving: list[tuple[int, _Job]] = []
     rr_token = 0
 
     events: list[SimEvent] = []
@@ -199,31 +192,25 @@ def simulate(
             return
 
     def grant(now: int) -> None:
-        nonlocal device_job, device_done, rr_token
-        if not pending:
+        nonlocal rr_token
+        if not pending or (serving and policy != NO_CONTENTION):
             return
         if policy == NO_CONTENTION:
-            for tid in [t for t in task_ids if t in pending]:
-                job = pending.pop(tid)
-                emit(now, "accel_start", tid, segment=job.phases[job.idx][2])
-                nc_done.append((now + job.remaining, job))
-            return
-        if device_job is not None:
-            return
-        if policy == RR:
+            granted = [t for t in task_ids if t in pending]
+        elif policy == RR:
+            # Some task is pending, so the scan stops at one.
             for step in range(len(task_ids)):
                 tid = task_ids[(rr_token + step) % len(task_ids)]
                 if tid in pending:
                     rr_token = (rr_token + step + 1) % len(task_ids)
                     break
-            else:
-                return
+            granted = [tid]
         else:  # NPFP: highest-priority requester wins, then runs to completion
-            tid = max(pending, key=lambda t: prio[t])
-        job = pending.pop(tid)
-        device_job = job
-        device_done = now + job.remaining
-        emit(now, "accel_start", tid, segment=job.phases[job.idx][2])
+            granted = [max(pending, key=lambda t: prio[t])]
+        for tid in granted:
+            job = pending.pop(tid)
+            emit(now, "accel_start", tid, segment=job.phases[job.idx][2])
+            serving.append((now + job.remaining, job))
 
     def earliest_release() -> float:
         return min((r for r in next_release.values() if r < horizon), default=math.inf)
@@ -245,13 +232,9 @@ def simulate(
             release_at = earliest_release()
 
         # 2. accelerator completions
-        if device_job is not None and device_done <= now:
-            job, device_job, device_done = device_job, None, None
-            emit(now, "accel_done", job.task_id, segment=job.phases[job.idx][2])
-            advance(job, now)
-        if nc_done:
-            for done, job in [x for x in nc_done if x[0] <= now]:
-                nc_done.remove((done, job))
+        for done, job in serving[:]:
+            if done <= now:
+                serving.remove((done, job))
                 emit(now, "accel_done", job.task_id, segment=job.phases[job.idx][2])
                 advance(job, now)
 
@@ -298,9 +281,7 @@ def simulate(
 
         # 6. next event time
         nxt = release_at
-        if device_done is not None and device_done < nxt:
-            nxt = device_done
-        for done, _ in nc_done:
+        for done, _ in serving:
             if done < nxt:
                 nxt = done
         for job in running.values():

@@ -8,7 +8,15 @@ import pytest
 from helpers import assign, make_instance, make_task, oracle_corpus_instance, seg_cpu, seg_opt
 
 from hetsched.cli import main
-from hetsched.model import ChainSpec, assignment_to_json, instance_to_json
+from hetsched.model import (
+    ChainSpec,
+    assignment_to_dict,
+    assignment_to_json,
+    builtin_waters,
+    instance_to_dict,
+    instance_to_json,
+    waters_published_assignment,
+)
 
 
 def run(capsys, *argv):
@@ -295,6 +303,61 @@ def test_missing_instance_file_is_a_clean_error(capsys):
     code, _, err = run(capsys, "validate", "--instance", "/no/such/file.json")
     assert code == 1
     assert err.startswith("error:")
+
+
+def _edited(doc: dict, path: tuple, value) -> str:
+    """``doc`` as JSON text with the entry at ``path`` replaced by ``value``."""
+    doc = json.loads(json.dumps(doc))
+    *parents, key = path
+    node = doc
+    for p in parents:
+        node = node[p]
+    node[key] = value
+    return json.dumps(doc)
+
+
+WATERS_DOC = instance_to_dict(builtin_waters())
+PUBLISHED_DOC = assignment_to_dict(waters_published_assignment())
+
+# (name, instance text or None for builtin:waters, assignment text or None
+# for the published deployment, extra flags).  dasm's published priority is
+# 6, so a reader that truncated 6.5 would accept the deployment.
+MALFORMED = [
+    ("instance is not JSON", "{not json", None, []),
+    ("tasks is a number", _edited(WATERS_DOC, ("tasks",), 5), None, []),
+    ("core_types is a number", _edited(WATERS_DOC, ("platform", "core_types"), 7), None, []),
+    ("accelerator is text", _edited(WATERS_DOC, ("platform", "accelerator"), "false"), None, []),
+    ("assignment is not JSON", None, "{not json", []),
+    ("priority is a string", None, _edited(PUBLISHED_DOC, ("priority_of", "dasm"), "abc"), []),
+    ("priority is a fraction", None, _edited(PUBLISHED_DOC, ("priority_of", "dasm"), 6.5), []),
+    ("accelerated is a number", None, _edited(PUBLISHED_DOC, ("accelerated", "dasm"), 3), []),
+    ("scale is not a number", None, None, ["--scale", "abc"]),
+]
+
+
+@pytest.mark.parametrize(
+    "inst_text, asg_text, flags", [m[1:] for m in MALFORMED], ids=[m[0] for m in MALFORMED]
+)
+def test_malformed_documents_and_flags_are_clean_errors(
+    capsys, tmp_path, inst_text, asg_text, flags
+):
+    inst, asg = "builtin:waters", "builtin:waters"
+    if inst_text is not None:
+        inst = tmp_path / "bad.json"
+        inst.write_text(inst_text)
+    if asg_text is not None:
+        asg = tmp_path / "bad_assignment.json"
+        asg.write_text(asg_text)
+    commands = [["validate", "--instance", str(inst)]] if asg_text is None else []
+    commands.append(
+        ["analyze", "--instance", str(inst), "--assignment", str(asg), "--policy", "rr"]
+    )
+    for argv in commands:
+        code, out, err = run(capsys, *argv, *flags)
+        assert code == 1, argv
+        assert out == ""
+        assert err.startswith("error: ") and err.count("\n") == 1
+        assert "Traceback" not in err
 
 
 def test_unknown_policy_is_a_usage_error(capsys):

@@ -4,10 +4,12 @@ import json
 from fractions import Fraction
 
 import pytest
+from helpers import assign, make_instance, make_task, seg_cpu, seg_hwa, seg_opt
 
-from hetsched.analysis import analyze
+from hetsched.analysis import analyze, suspension_bounds
 from hetsched.bruteforce import best_assignment
 from hetsched.milp import build_milp
+from hetsched.milp.decode import SolutionDecodeError, verify_solution
 from hetsched.model import (
     Assignment,
     ChainSpec,
@@ -18,6 +20,7 @@ from hetsched.model import (
     ProblemInstance,
     SegmentSpec,
     TaskSpec,
+    Violation,
     assignment_from_json,
     assignment_to_json,
     builtin_waters,
@@ -254,6 +257,95 @@ def test_assignment_must_accelerate_forced_segments():
     inst = ProblemInstance(platform=platform, tasks=(t,), chains=())
     a = Assignment(core_of={"gpuonly": "c0"}, priority_of={"gpuonly": 1}, accelerated={})
     assert any("must be accelerated" in v.message for v in validate_assignment(inst, a))
+
+
+# One CPU-only, one optional and one accelerator-only task, and a valid
+# deployment of them that each row of BROKEN_DEPLOYMENTS breaks one way.
+TRIO = make_instance(
+    [
+        make_task("t1", 10_000, [seg_cpu(1_000)]),
+        make_task("t2", 20_000, [seg_opt(4_000, 500, 200, 2_000), seg_cpu(1_000)]),
+        make_task("t3", 40_000, [seg_hwa(300, 100, 5_000)]),
+    ]
+)
+CORES = {"t1": "c0", "t2": "c1", "t3": "c0"}
+PRIOS = {"t1": 3, "t2": 2, "t3": 1}
+ACCEL = {"t3": {0}}
+
+BROKEN_DEPLOYMENTS = [
+    # name, core_of, priority_of, accelerated, then the violation's path and message
+    ("missing core", {"t1": "c0", "t3": "c0"}, PRIOS, ACCEL,
+     "core_of.t2", "missing core"),
+    ("unknown core", {**CORES, "t2": "c9"}, PRIOS, ACCEL,
+     "core_of.t2", "unknown core 'c9'"),
+    ("missing priority", CORES, {"t2": 2, "t3": 1}, ACCEL,
+     "priority_of.t1", "missing priority"),
+    ("unknown task in core_of", {**CORES, "ghost": "c0"}, PRIOS, ACCEL,
+     "core_of.ghost", "unknown task"),
+    ("unknown task in accelerated", CORES, PRIOS, {**ACCEL, "ghost": {0}},
+     "accelerated.ghost", "unknown task"),
+    ("segment out of range", CORES, PRIOS, {**ACCEL, "t2": {2}},
+     "accelerated.t2", "segment index 2 out of range"),
+    ("cpu-only segment accelerated", CORES, PRIOS, {**ACCEL, "t2": {1}},
+     "accelerated.t2", "segment 1 cannot run on the accelerator"),
+    ("forced segment missing", CORES, PRIOS, {},
+     "accelerated.t3", "accelerator-only segments [0] must be accelerated"),
+    ("priorities not a permutation", CORES, {"t1": 3, "t2": 3, "t3": 1}, ACCEL,
+     "priority_of", "priorities must be a permutation of 1..3"),
+]
+BROKEN = pytest.mark.parametrize(
+    "core_of, priority_of, accelerated, path, message",
+    [row[1:] for row in BROKEN_DEPLOYMENTS],
+    ids=[row[0] for row in BROKEN_DEPLOYMENTS],
+)
+
+# route -> (call, the error it raises, what its message starts with)
+GATED_ROUTES = {
+    "analyze": (lambda a: analyze(TRIO, a, "npfp"), ModelError, "invalid assignment: "),
+    "suspension_bounds": (
+        lambda a: suspension_bounds(TRIO, a, "rr"), ModelError, "invalid assignment: "
+    ),
+    "simulate": (lambda a: simulate(TRIO, a, "nocontention"), ModelError, "invalid assignment: "),
+    "verify_solution": (
+        lambda a: verify_solution(TRIO, a, "rr", "minmax-rt"),
+        SolutionDecodeError,
+        "decoded deployment is invalid: ",
+    ),
+}
+
+
+def test_trio_deployment_is_valid():
+    a = assign(CORES, PRIOS, ACCEL)
+    assert validate_assignment(TRIO, a) == []
+    for call, _, _ in GATED_ROUTES.values():
+        call(a)
+
+
+@BROKEN
+def test_broken_deployment_violation(core_of, priority_of, accelerated, path, message):
+    violations = validate_assignment(TRIO, assign(core_of, priority_of, accelerated))
+    assert Violation(path, message) in violations
+
+
+@pytest.mark.parametrize("route", sorted(GATED_ROUTES))
+@BROKEN
+def test_every_route_rejects_a_broken_deployment(
+    route, core_of, priority_of, accelerated, path, message
+):
+    call, error, prefix = GATED_ROUTES[route]
+    with pytest.raises(error) as err:
+        call(assign(core_of, priority_of, accelerated))
+    assert str(err.value).startswith(prefix)
+    assert f"{path}: {message}" in str(err.value)
+
+
+def test_assignment_check_needs_a_valid_instance(tiny):
+    bad = ProblemInstance(
+        platform=tiny.platform, tasks=(tiny.tasks[0], tiny.tasks[0]), chains=()
+    )
+    a = assign({"t1": "c0"}, {"t1": 1})
+    with pytest.raises(ModelError, match="invalid instance: .*duplicate task id"):
+        validate_assignment(bad, a)
 
 
 # -- WCET scaling ------------------------------------------------------------
