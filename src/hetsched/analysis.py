@@ -196,10 +196,14 @@ def checkpoints(deadline: int, sources: Iterable[tuple[int, int]]) -> list[int]:
 
 
 def demand(t: int, base: int, interferers: Iterable[tuple[int, int, int]]) -> int:
-    """Worst-case demand ``base + sum(ceil((t + J) / T) * C)`` at time ``t``."""
+    """Worst-case demand ``base + sum(max(0, ceil((t + J) / T)) * C)`` at
+    time ``t``.  A negative jitter ``J`` (the npfp backlog's ``D - C``) can
+    make ``t + J`` negative; such a source adds nothing."""
     total = base
     for c, period, jitter in interferers:
-        total += _ceil_div(t + jitter, period) * c
+        k = _ceil_div(t + jitter, period)
+        if k > 0:
+            total += k * c
     return total
 
 
@@ -279,7 +283,6 @@ class CompiledInstance:
         self.core_type = tuple([c.type for c in inst.platform.cores])
         self.period = tuple([t.period_us for t in tasks])
         self.deadline = tuple([t.deadline_us for t in tasks])
-        self._accel_grid: list[list[int] | None] = [None] * len(tasks)
         self._views: dict[tuple[int, str, frozenset[int]], SelfSuspendingView] = {}
 
     @cached_property
@@ -345,22 +348,19 @@ class CompiledInstance:
         the task's deadline."""
         return tuple(checkpoints(d, self.cpu_sources(i)) for i, d in enumerate(self.deadline))
 
-    def accel_grid(self, i: int) -> list[int]:
-        """Checkpoints of task ``i``'s npfp accelerator wait: every other task
+    @cached_property
+    def accel_grid(self) -> tuple[list[int], ...]:
+        """Checkpoints of each task's npfp accelerator wait: every other task
         that may use the accelerator is a source, with its accelerator jitter
         bound.  Empty for a task that never uses the accelerator, and ends at
         the deadline otherwise."""
-        grid = self._accel_grid[i]
-        if grid is None:
-            acc = self.accelerable
-            if acc[i]:
-                ajit = self.accel_jitter
-                sources = [(t, ajit[s]) for s, t in enumerate(self.period) if s != i and acc[s]]
-                grid = checkpoints(self.deadline[i], sources)
-            else:
-                grid = []
-            self._accel_grid[i] = grid
-        return grid
+        acc, ajit = self.accelerable, self.accel_jitter
+        return tuple(
+            checkpoints(d, [(t, ajit[s]) for s, t in enumerate(self.period) if s != i and acc[s]])
+            if acc[i]
+            else []
+            for i, d in enumerate(self.deadline)
+        )
 
     def _multipliers(self, grids, jitter, is_source) -> Multipliers:
         """``(s, ceil((v + J_s) / T_s))`` at each checkpoint ``v`` of task
@@ -388,11 +388,10 @@ class CompiledInstance:
     @cached_property
     def accel_multipliers(self) -> Multipliers:
         """The npfp accelerator backlog's multipliers at each checkpoint of
-        :meth:`accel_grid`, as in :attr:`cpu_multipliers`, for every other
+        :attr:`accel_grid`, as in :attr:`cpu_multipliers`, for every other
         task that may use the accelerator, with its accelerator jitter
         bound."""
-        grids = [self.accel_grid(i) for i in range(len(self.period))]
-        return self._multipliers(grids, self.accel_jitter, self.accelerable.__getitem__)
+        return self._multipliers(self.accel_grid, self.accel_jitter, self.accelerable.__getitem__)
 
     def chain_offset(self, chain: ChainSpec) -> int:
         """What a chain adds to its links' response times: the period of
@@ -422,9 +421,10 @@ class CompiledInstance:
                 out.append(Violation(f"core_of.{tid}", f"unknown core {core_of[tid]!r}"))
             if tid not in priority_of:
                 out.append(Violation(f"priority_of.{tid}", "missing priority"))
-        for tid in core_of:
-            if tid not in self.task_index:
-                out.append(Violation(f"core_of.{tid}", "unknown task"))
+        for name, table in (("core_of", core_of), ("priority_of", priority_of)):
+            for tid in table:
+                if tid not in self.task_index:
+                    out.append(Violation(f"{name}.{tid}", "unknown task"))
         n = len(self.task_ids)
         if sorted(priority_of.get(t, 0) for t in self.task_ids) != list(range(1, n + 1)):
             out.append(Violation("priority_of", f"priorities must be a permutation of 1..{n}"))
@@ -486,9 +486,10 @@ def _npfp_wait(
     higher-priority backlog.  ``conservative`` mode is the optimizer's twin: it
     evaluates the backlog on the task's accelerator checkpoint grid, with
     assignment-independent jitter constants, and takes the demand at the
-    smallest self-consistent point.  Otherwise the backlog is the least fixed
-    point of the exact-jitter recurrence.  Unlike the CPU interference, this
-    compares priorities of tasks on different cores.
+    smallest self-consistent point.  Otherwise the wait is the
+    :func:`rta_fixed_point` of the backlog, in which a rival ``s`` with
+    accelerator time ``g_s`` has jitter ``D_s - g_s``.  Unlike the CPU
+    interference, this compares priorities of tasks on different cores.
     """
     blocking = 0
     hp: list[int] = []
@@ -502,21 +503,11 @@ def _npfp_wait(
 
     if mode == CONSERVATIVE:
         interferers = [(views[s].total_accel_us, ci.period[s], ci.accel_jitter[s]) for s in hp]
-        star = demand_test(blocking, ci.accel_grid(i), interferers)
+        star = demand_test(blocking, ci.accel_grid[i], interferers)
         return None if star is None else demand(star, blocking, interferers)
-
-    limit = ci.deadline[i]
-    backlog = [(views[s].total_accel_us, ci.period[s], ci.deadline[s]) for s in hp]
-    phi = blocking
-    if phi > limit:
-        return None
-    while True:
-        nxt = blocking + sum(max(0, _ceil_div(phi + d - g, t)) * g for g, t, d in backlog)
-        if nxt == phi:
-            return phi
-        if nxt > limit:
-            return None
-        phi = nxt
+    rivals = [(views[s].total_accel_us, s) for s in hp]
+    backlog = [(g, ci.period[s], ci.deadline[s] - g) for g, s in rivals]
+    return rta_fixed_point(blocking, backlog, ci.deadline[i])
 
 
 def _suspensions(

@@ -91,11 +91,7 @@ def _pin_and_maximize_acceleration(model: MilpModel, incumbent: float) -> None:
     model.add_row(
         "tiebreak_pin", list(model.objective.items()), "<=", incumbent + slack
     )
-    accel_vars = []
-    for i, tid in enumerate(model.meta["tasks"]):
-        for j in model.meta["accelerable"][tid]:
-            accel_vars.append((model.var(f"a_t{i}_j{j}"), -1.0))
-    model.set_objective(accel_vars)
+    model.set_objective([(col, -1.0) for cols in model.meta["a"] for col in cols.values()])
 
 
 @dataclass(frozen=True)

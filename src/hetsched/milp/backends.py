@@ -104,8 +104,6 @@ def _stdout_to_stderr():
 class ScipyBackend:
     """In-process HiGHS via scipy.optimize.milp."""
 
-    name = "scipy"
-
     def solve(
         self,
         model: MilpModel,
@@ -297,8 +295,6 @@ class ExternalBackend:
         highs --solution_file {sol} --time_limit {timeout} {lp}
         cbc {lp} sec {timeout} solve solution {sol}
     """
-
-    name = "external"
 
     def __init__(self, command: str | None = None):
         self.command = command or os.environ.get(ENV_SOLVER_CMD, "")

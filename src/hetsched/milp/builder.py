@@ -9,8 +9,11 @@ jitter constants; a binary per checkpoint picks the one that certifies the
 response time.
 
 Variable families (one LP column each, ``t{i}``/``k{k}``/``j{j}``/``g{g}``
-are task, core, segment and checkpoint indices; the legend lives in
-``model.meta``):
+are task, core, segment and checkpoint indices).  The builder alone names
+columns; ``model.meta`` maps a deployment onto them: ``tasks`` and ``cores``
+list the ids in index order, ``x[i][k]`` and ``hp[i, s]`` are column
+indices, and ``a[i]`` maps each accelerable segment of task i to its
+column.
 
 ===========================  ====================================================
 ``x_t{i}_k{k}``              task i runs on core k
@@ -502,7 +505,7 @@ def build_milp(inst: ProblemInstance, policy: str, objective: str) -> MilpModel:
             dcap = float(delta_cap[i])
             for j, e_hw in zip(acc_idx[i], map(float, accel[i])):
                 m2 = e_hw + dcap
-                for g, (nu, row) in enumerate(zip(ci.accel_grid(i), accel_mult[i])):
+                for g, (nu, row) in enumerate(zip(ci.accel_grid[i], accel_mult[i])):
                     terms = [(delta[i, j, g], 1.0), (b[i], -1.0)]
                     terms += [(Hd[s, i], -float(coef)) for s, coef in row]
                     model.add_row(f"c18a_t{i}_j{j}_g{g}", terms, ">=", 0.0)
@@ -568,14 +571,10 @@ def build_milp(inst: ProblemInstance, policy: str, objective: str) -> MilpModel:
         model.set_objective([(R[i], 1.0 / deadline[i]) for i in range(n)])
 
     model.meta = {
-        "policy": policy,
-        "objective": objective,
         "tasks": [t.id for t in tasks],
         "cores": [c.id for c in cores],
-        "segments": {t.id: len(t.segments) for t in tasks},
-        "accelerable": {t.id: list(acc_idx[i]) for i, t in enumerate(tasks)},
-        "wcrt_grid": {t.id: list(wcrt_grid[i]) for i, t in enumerate(tasks)},
+        "x": x,
+        "hp": hp,
+        "a": [{j: a[i][j] for j in acc_idx[i]} for i in range(n)],
     }
-    if policy == NPFP:
-        model.meta["accel_grid"] = {t.id: list(ci.accel_grid(i)) for i, t in enumerate(tasks)}
     return model

@@ -20,21 +20,23 @@ class SolutionDecodeError(ModelError):
     """The solver returned values that do not round to a valid deployment."""
 
 
-def _binary(values: dict[str, float], name: str) -> bool:
-    v = values.get(name, 0.0)
-    if abs(v - round(v)) > 1e-4:
-        raise SolutionDecodeError(f"variable {name} = {v} is not integral")
-    return round(v) >= 1
-
-
 def decode_assignment(model: MilpModel, values: dict[str, float]) -> Assignment:
+    """The deployment that a solver's ``values``, keyed by column name, set
+    on the columns that ``model.meta`` records."""
     meta = model.meta
     tasks: list[str] = meta["tasks"]
     cores: list[str] = meta["cores"]
 
+    def on(col: int) -> bool:
+        name = model.col_names[col]
+        v = values.get(name, 0.0)
+        if abs(v - round(v)) > 1e-4:
+            raise SolutionDecodeError(f"variable {name} = {v} is not integral")
+        return round(v) >= 1
+
     core_of = {}
-    for i, tid in enumerate(tasks):
-        chosen = [k for k in range(len(cores)) if _binary(values, f"x_t{i}_k{k}")]
+    for tid, row in zip(tasks, meta["x"]):
+        chosen = [k for k, col in enumerate(row) if on(col)]
         if len(chosen) != 1:
             raise SolutionDecodeError(f"task {tid} is mapped to {len(chosen)} cores")
         core_of[tid] = cores[chosen[0]]
@@ -42,18 +44,17 @@ def decode_assignment(model: MilpModel, values: dict[str, float]) -> Assignment:
     # A task's priority is one more than the number of tasks it outranks.
     # With one direction per pair (``c5``), these levels form a permutation
     # exactly when ``hp`` has no cycle.
-    n = len(tasks)
-    priority_of = {
-        tid: 1 + sum(_binary(values, f"hp_t{i}_t{s}") for s in range(n) if s != i)
-        for i, tid in enumerate(tasks)
-    }
-    if sorted(priority_of.values()) != list(range(1, n + 1)):
+    levels = [1] * len(tasks)
+    for (i, _), col in meta["hp"].items():
+        levels[i] += on(col)
+    priority_of = dict(zip(tasks, levels))
+    if sorted(levels) != list(range(1, len(tasks) + 1)):
         raise SolutionDecodeError("priorities do not form a permutation")
 
-    accelerated = {}
-    for i, tid in enumerate(tasks):
-        chosen = {j for j in meta["accelerable"][tid] if _binary(values, f"a_t{i}_j{j}")}
-        accelerated[tid] = frozenset(chosen)
+    accelerated = {
+        tid: frozenset(j for j, col in cols.items() if on(col))
+        for tid, cols in zip(tasks, meta["a"])
+    }
     return Assignment(core_of=core_of, priority_of=priority_of, accelerated=accelerated)
 
 

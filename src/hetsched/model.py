@@ -183,7 +183,7 @@ class Violation:
     path: str
     message: str
 
-    def __str__(self) -> str:  # pragma: no cover - cosmetic
+    def __str__(self) -> str:
         return f"{self.path}: {self.message}"
 
 
@@ -362,6 +362,12 @@ def _int(v, path: str) -> int:
     return v
 
 
+def _str(v, path: str) -> str:
+    if not isinstance(v, str):
+        raise ModelError(f"{path}: expected a string")
+    return v
+
+
 def _int_table(obj, path: str) -> dict[str, int]:
     if not isinstance(obj, dict):
         raise ModelError(f"{path}: expected an object of core-type -> integer")
@@ -374,10 +380,12 @@ def instance_from_dict(doc: dict) -> ProblemInstance:
     p = _take(top["platform"], "platform", {"core_types": True, "cores": True, "accelerator": True})
     cores = []
     for i, c in enumerate(_list(p["cores"], "platform.cores")):
-        cd = _take(c, f"platform.cores[{i}]", {"id": True, "type": True})
-        cores.append(Core(id=str(cd["id"]), type=str(cd["type"])))
+        path = f"platform.cores[{i}]"
+        cd = _take(c, path, {"id": True, "type": True})
+        cores.append(Core(id=_str(cd["id"], f"{path}.id"), type=_str(cd["type"], f"{path}.type")))
+    types = _list(p["core_types"], "platform.core_types")
     platform = PlatformSpec(
-        core_types=tuple(str(t) for t in _list(p["core_types"], "platform.core_types")),
+        core_types=tuple(_str(t, f"platform.core_types[{k}]") for k, t in enumerate(types)),
         cores=tuple(cores),
         accelerator=_bool(p["accelerator"], "platform.accelerator"),
     )
@@ -419,7 +427,7 @@ def instance_from_dict(doc: dict) -> ProblemInstance:
             )
         tasks.append(
             TaskSpec(
-                id=str(td["id"]),
+                id=_str(td["id"], f"tasks[{i}].id"),
                 period_us=_int(td["period_us"], f"tasks[{i}].period_us"),
                 deadline_us=_int(td["deadline_us"], f"tasks[{i}].deadline_us"),
                 segments=tuple(segments),
@@ -428,9 +436,11 @@ def instance_from_dict(doc: dict) -> ProblemInstance:
 
     chains = []
     for i, c in enumerate(_list(top.get("chains", []), "chains")):
-        cd = _take(c, f"chains[{i}]", {"id": True, "tasks": True})
-        links = _list(cd["tasks"], f"chains[{i}].tasks")
-        chains.append(ChainSpec(id=str(cd["id"]), tasks=tuple(str(x) for x in links)))
+        cpath = f"chains[{i}]"
+        cd = _take(c, cpath, {"id": True, "tasks": True})
+        links = _list(cd["tasks"], f"{cpath}.tasks")
+        ids = tuple(_str(x, f"{cpath}.tasks[{k}]") for k, x in enumerate(links))
+        chains.append(ChainSpec(id=_str(cd["id"], f"{cpath}.id"), tasks=ids))
 
     return ProblemInstance(platform=platform, tasks=tuple(tasks), chains=tuple(chains))
 
@@ -480,7 +490,9 @@ def assignment_from_dict(doc: dict) -> Assignment:
         for t, idxs in _object(d["accelerated"], "accelerated").items()
     }
     return Assignment(
-        core_of={str(k): str(v) for k, v in _object(d["core_of"], "core_of").items()},
+        core_of={
+            str(k): _str(v, f"core_of.{k}") for k, v in _object(d["core_of"], "core_of").items()
+        },
         priority_of={
             str(k): _int(v, f"priority_of.{k}")
             for k, v in _object(d["priority_of"], "priority_of").items()

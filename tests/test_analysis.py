@@ -249,6 +249,27 @@ def test_analyze_rejects_invalid_assignment():
         analyze(inst, assign({"t": "c9"}, {"t": 1}), RR)
 
 
+# name, call on WATERS and its published deployment, then the ModelError's message
+UNKNOWN_NAMES = [
+    ("analyze policy", lambda i, a: analyze(i, a, "edf"), "unknown policy 'edf'"),
+    ("suspension_bounds policy", lambda i, a: suspension_bounds(i, a, "edf"),
+     "unknown policy 'edf'"),
+    ("analyze mode", lambda i, a: analyze(i, a, RR, mode="exactish"),
+     "unknown analysis mode 'exactish'"),
+    ("objective", lambda i, a: evaluate_objective(analyze(i, a, RR), "minmax-wcet"),
+     "unknown objective 'minmax-wcet'"),
+]
+
+
+@pytest.mark.parametrize(
+    "call, message", [row[1:] for row in UNKNOWN_NAMES], ids=[row[0] for row in UNKNOWN_NAMES]
+)
+def test_unknown_names_are_model_errors(call, message):
+    with pytest.raises(ModelError) as err:
+        call(builtin_waters(), waters_published_assignment())
+    assert str(err.value) == message
+
+
 def test_mode_ordering_on_shared_core_with_suspender():
     # A suspending high-priority task gives the conservative analysis a larger
     # jitter constant than the exact one, so bounds are ordered.

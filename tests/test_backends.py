@@ -8,10 +8,13 @@ import warnings
 import pytest
 import scipy.optimize
 
+from hetsched.milp import optimize
 from hetsched.milp.backends import (
     ENV_SOLVER_CMD,
     ERROR,
+    FEASIBLE,
     INFEASIBLE,
+    NO_SOLUTION,
     OPTIMAL,
     ExternalBackend,
     ScipyBackend,
@@ -19,7 +22,7 @@ from hetsched.milp.backends import (
     parse_solution_file,
 )
 from hetsched.milp.ir import MilpModel
-from hetsched.model import ModelError
+from hetsched.model import ModelError, builtin_waters
 
 
 def tiny_model():
@@ -232,3 +235,9 @@ def test_get_backend_dispatch(fake_solver, monkeypatch):
     assert templated.command.startswith("mysolver")
     with pytest.raises(ModelError, match="backend"):
         get_backend("gurobi")
+
+
+def test_time_limit_stops_the_solve_without_claiming_infeasibility():
+    # The full solve takes seconds; 0.05 s stops it before the proof.
+    res = optimize(builtin_waters(), "npfp", "minsum-lat", time_limit=0.05)
+    assert res.status in (NO_SOLUTION, FEASIBLE)

@@ -101,6 +101,24 @@ def test_analyze_csv_lists_every_task(capsys):
     assert len(lines) == 10
 
 
+def test_analyze_csv_to_a_file(capsys, tmp_path):
+    target = tmp_path / "report.csv"
+    code, out, _ = run(
+        capsys,
+        "analyze",
+        "--instance", "builtin:waters",
+        "--assignment", "builtin:waters",
+        "--policy", "rr",
+        "--format", "csv",
+        "--out", str(target),
+    )
+    assert code == 0
+    assert out == ""
+    lines = target.read_text().strip().splitlines()
+    assert lines[0].startswith("id,core,priority")
+    assert len(lines) == 10
+
+
 def test_analyze_unschedulable_exit_code(capsys, overloaded_files):
     inst, asg = overloaded_files
     code, out, _ = run(
@@ -319,6 +337,19 @@ def _edited(doc: dict, path: tuple, value) -> str:
 WATERS_DOC = instance_to_dict(builtin_waters())
 PUBLISHED_DOC = assignment_to_dict(waters_published_assignment())
 
+# (path, value, instance text or None for builtin:waters, assignment text or
+# None for the published deployment): ids and core types that are not strings.
+NON_STRING_IDS = [
+    ("tasks[0].id", 5, _edited(WATERS_DOC, ("tasks", 0, "id"), 5), None),
+    ("platform.cores[0].id", 7.5, _edited(WATERS_DOC, ("platform", "cores", 0, "id"), 7.5), None),
+    ("platform.cores[0].type", None, _edited(WATERS_DOC, ("platform", "cores", 0, "type"), None),
+     None),
+    ("platform.core_types[1]", 1, _edited(WATERS_DOC, ("platform", "core_types", 1), 1), None),
+    ("chains[0].id", True, _edited(WATERS_DOC, ("chains", 0, "id"), True), None),
+    ("chains[2].tasks[0]", 7, _edited(WATERS_DOC, ("chains", 2, "tasks", 0), 7), None),
+    ("core_of.dasm", None, None, _edited(PUBLISHED_DOC, ("core_of", "dasm"), None)),
+]
+
 # (name, instance text or None for builtin:waters, assignment text or None
 # for the published deployment, extra flags).  dasm's published priority is
 # 6, so a reader that truncated 6.5 would accept the deployment.
@@ -332,6 +363,9 @@ MALFORMED = [
     ("priority is a fraction", None, _edited(PUBLISHED_DOC, ("priority_of", "dasm"), 6.5), []),
     ("accelerated is a number", None, _edited(PUBLISHED_DOC, ("accelerated", "dasm"), 3), []),
     ("scale is not a number", None, None, ["--scale", "abc"]),
+] + [
+    (f"{path} is {value!r}", inst_text, asg_text, [])
+    for path, value, inst_text, asg_text in NON_STRING_IDS
 ]
 
 
@@ -358,6 +392,51 @@ def test_malformed_documents_and_flags_are_clean_errors(
         assert out == ""
         assert err.startswith("error: ") and err.count("\n") == 1
         assert "Traceback" not in err
+
+
+@pytest.mark.parametrize(
+    "path, inst_text, asg_text",
+    [(path, i, a) for path, _, i, a in NON_STRING_IDS],
+    ids=[row[0] for row in NON_STRING_IDS],
+)
+def test_non_string_id_names_its_path(capsys, tmp_path, path, inst_text, asg_text):
+    inst, asg = "builtin:waters", "builtin:waters"
+    if inst_text is not None:
+        inst = tmp_path / "bad.json"
+        inst.write_text(inst_text)
+    if asg_text is not None:
+        asg = tmp_path / "bad_assignment.json"
+        asg.write_text(asg_text)
+    code, _, err = run(
+        capsys, "analyze", "--instance", str(inst), "--assignment", str(asg), "--policy", "rr"
+    )
+    assert code == 1
+    assert err == f"error: {path}: expected a string\n"
+
+
+def test_priority_of_an_unknown_task_is_invalid(capsys, tmp_path):
+    asg = tmp_path / "ghost.json"
+    asg.write_text(_edited(PUBLISHED_DOC, ("priority_of", "ghost"), 99))
+    code, out, err = run(
+        capsys, "analyze", "--instance", "builtin:waters", "--assignment", str(asg), "--policy", "rr"
+    )
+    assert code == 1
+    assert out == ""
+    assert err == "error: invalid assignment: priority_of.ghost: unknown task\n"
+
+
+def test_optimize_out_of_time_is_never_infeasible(capsys):
+    # The full solve takes seconds; 0.05 s stops it before the proof.
+    code, out, _ = run(
+        capsys,
+        "optimize",
+        "--instance", "builtin:waters",
+        "--policy", "npfp",
+        "--objective", "minsum-lat",
+        "--time-limit", "0.05",
+    )
+    assert code != 2
+    assert json.loads(out)["status"] in ("no_solution", "feasible")
 
 
 def test_unknown_policy_is_a_usage_error(capsys):

@@ -100,12 +100,12 @@ def test_wcrt_grid_matches_analysis_checkpoints(waters_rr):
                 if other.id != task.id
             ],
         )
-        assert waters_rr.meta["wcrt_grid"][task.id] == expected
+        assert inst.compiled.cpu_grid[inst.compiled.task_index[task.id]] == expected
 
 
 def test_checkpoint_selection_rows_per_grid_point(waters_rr):
     fam = _rows_by_family(waters_rr)
-    n_points = sum(len(g) for g in waters_rr.meta["wcrt_grid"].values())
+    n_points = sum(len(g) for g in builtin_waters().compiled.cpu_grid)
     assert len(fam["c11a"]) == len(fam["c11b"]) == len(fam["c11c"]) == n_points
     assert len(fam["c11d"]) == 9
 
@@ -128,7 +128,7 @@ def test_npfp_adds_accelerator_contention_machinery():
     assert len(fam["eta"]) == 4 * 8
     assert len(fam["Hd"]) == 4 * 8
     assert len(fam["b"]) == 4
-    n_acc_points = sum(len(g) for g in model.meta["accel_grid"].values())
+    n_acc_points = sum(len(g) for g in builtin_waters().compiled.accel_grid)
     assert len(fam["delta"]) == len(fam["sigma"]) == n_acc_points
     rows = _rows_by_family(model)
     assert len(rows["c18d"]) == 4
@@ -363,7 +363,7 @@ def _pin(model, inst, asg):
         for s, other in enumerate(tasks):
             if s != i:
                 fixed[f"hp_t{i}_t{s}"] = asg.priority_of[tid] > asg.priority_of[other]
-        for j in range(model.meta["segments"][tid]):
+        for j in range(len(inst.task(tid).segments)):
             fixed[f"a_t{i}_j{j}"] = j in asg.accelerated_of(tid)
     for name, on in fixed.items():
         idx = model.var(name)

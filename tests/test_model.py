@@ -1,6 +1,7 @@
 """Data model: validation, JSON round-trips, WCET scaling, builtin instance."""
 
 import json
+from dataclasses import replace
 from fractions import Fraction
 
 import pytest
@@ -122,6 +123,103 @@ def test_chain_referencing_unknown_task_is_flagged(tiny):
         chains=(ChainSpec(id="ch", tasks=("t1", "ghost")),),
     )
     assert any("ghost" in v.message for v in validate_instance(bad))
+
+
+def _with_task(inst, k, **changes):
+    tasks = list(inst.tasks)
+    tasks[k] = replace(tasks[k], **changes)
+    return replace(inst, tasks=tuple(tasks))
+
+
+def _with_segment(inst, k, **changes):
+    """``inst`` with the only segment of task ``k`` changed."""
+    return _with_task(inst, k, segments=(replace(inst.tasks[k].segments[0], **changes),))
+
+
+def _with_platform(inst, **changes):
+    return replace(inst, platform=replace(inst.platform, **changes))
+
+
+# name, how to break the ``tiny`` instance, then the violation's path and message
+STRUCTURAL_FAULTS = [
+    ("WCET for an unknown core type",
+     lambda i: _with_segment(i, 0, exec_us={"big": 1, "huge": 1}),
+     "tasks[0].segments[0].exec_us.huge", "unknown core type 'huge'"),
+    ("non-integer WCET", lambda i: _with_segment(i, 0, exec_us={"big": 1.5}),
+     "tasks[0].segments[0].exec_us.big", "WCET must be a non-negative integer"),
+    ("negative WCET", lambda i: _with_segment(i, 1, offload_us={"big": -1}),
+     "tasks[1].segments[0].offload_us.big", "WCET must be a non-negative integer"),
+    ("no core types", lambda i: _with_platform(i, core_types=()),
+     "platform.core_types", "at least one core type required"),
+    ("duplicate core type", lambda i: _with_platform(i, core_types=("big", "big")),
+     "platform.core_types", "duplicate core type"),
+    ("no cores", lambda i: _with_platform(i, cores=()),
+     "platform.cores", "at least one core required"),
+    ("duplicate core id", lambda i: _with_platform(i, cores=(Core("c0", "big"),) * 2),
+     "platform.cores[1]", "duplicate core id 'c0'"),
+    ("undeclared core type",
+     lambda i: _with_platform(i, cores=(Core("c0", "big"), Core("c1", "small"))),
+     "platform.cores[1].type", "undeclared core type 'small'"),
+    ("task without segments", lambda i: _with_task(i, 0, segments=()),
+     "tasks[0].segments", "task needs at least one segment"),
+    ("exec_us on an accelerator-only segment",
+     lambda i: _with_segment(i, 1, impl=ImplType.HWA),
+     "tasks[1].segments[0].exec_us", "accelerator-only segment cannot have exec_us"),
+    ("accelerable segment without an accelerator",
+     lambda i: _with_platform(i, accelerator=False),
+     "tasks[1].segments[0]", "platform has no accelerator but segment may use one"),
+    ("missing accel_us", lambda i: _with_segment(i, 1, accel_us=None),
+     "tasks[1].segments[0].accel_us", "accelerated WCET must be a non-negative integer"),
+    ("negative accel_us", lambda i: _with_segment(i, 1, accel_us=-1),
+     "tasks[1].segments[0].accel_us", "accelerated WCET must be a non-negative integer"),
+    ("duplicate chain id", lambda i: replace(i, chains=i.chains * 2),
+     "chains[1]", "duplicate chain id 'ch'"),
+    ("empty chain", lambda i: replace(i, chains=(ChainSpec(id="ch", tasks=()),)),
+     "chains[0].tasks", "chain must contain at least one task"),
+]
+
+
+@pytest.mark.parametrize(
+    "breaks, path, message",
+    [row[1:] for row in STRUCTURAL_FAULTS],
+    ids=[row[0] for row in STRUCTURAL_FAULTS],
+)
+def test_structural_violation_messages(tiny, breaks, path, message):
+    assert Violation(path, message) in validate_instance(breaks(tiny))
+
+
+def _edited_doc(inst, path, value):
+    doc = instance_to_dict(inst)
+    *parents, key = path
+    node = doc
+    for p in parents:
+        node = node[p]
+    node[key] = value
+    return doc
+
+
+# name, call on the ``tiny`` instance, then the start of the ModelError's message
+READER_FAULTS = [
+    ("platform is a number",
+     lambda i: instance_from_dict(_edited_doc(i, ("platform",), 5)), "platform: expected an object"),
+    ("exec_us is a number",
+     lambda i: instance_from_dict(_edited_doc(i, ("tasks", 0, "segments", 0, "exec_us"), 5)),
+     "tasks[0].segments[0].exec_us: expected an object of core-type -> integer"),
+    ("unknown impl",
+     lambda i: instance_from_dict(_edited_doc(i, ("tasks", 0, "segments", 0, "impl"), "gpu")),
+     "tasks[0].segments[0].impl: expected one of cpu/hwa/cpu_hwa"),
+    ("scale factor is a list", lambda i: scale_wcets(i, [1]),
+     "unsupported scale factor type: list"),
+]
+
+
+@pytest.mark.parametrize(
+    "call, message", [row[1:] for row in READER_FAULTS], ids=[row[0] for row in READER_FAULTS]
+)
+def test_reader_faults_are_model_errors(tiny, call, message):
+    with pytest.raises(ModelError) as err:
+        call(tiny)
+    assert str(err.value).startswith(message)
 
 
 ROUTES = {
@@ -337,6 +435,15 @@ def test_every_route_rejects_a_broken_deployment(
         call(assign(core_of, priority_of, accelerated))
     assert str(err.value).startswith(prefix)
     assert f"{path}: {message}" in str(err.value)
+
+
+def test_priority_of_an_unknown_task_is_rejected():
+    inst = builtin_waters()
+    published = waters_published_assignment()
+    ghost = replace(published, priority_of={**published.priority_of, "ghost": 99})
+    assert validate_assignment(inst, ghost) == [Violation("priority_of.ghost", "unknown task")]
+    with pytest.raises(ModelError, match="invalid assignment: priority_of.ghost: unknown task"):
+        analyze(inst, ghost, "rr")
 
 
 def test_assignment_check_needs_a_valid_instance(tiny):

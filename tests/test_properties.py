@@ -94,6 +94,28 @@ def test_fixed_point_result_is_a_fixed_point_within_the_limit(base, hp, limit):
 
 
 @given(
+    base=st.integers(min_value=0, max_value=10_000),
+    hp=st.lists(
+        st.tuples(
+            st.integers(min_value=1, max_value=5_000),  # accelerator time g
+            st.integers(min_value=1_000, max_value=50_000),  # period
+            st.integers(min_value=-60_000, max_value=40_000),  # D - g, may be negative
+        ),
+        max_size=4,
+    ),
+    limit=st.integers(min_value=1, max_value=150_000),
+)
+def test_negative_jitter_adds_no_negative_demand(base, hp, limit):
+    # The npfp backlog's jitter D - g is negative for a rival whose
+    # accelerator time exceeds its deadline.
+    assert demand(0, base, hp) >= base
+    r = rta_fixed_point(base, hp, limit)
+    if r is not None:
+        assert base <= r <= limit
+        assert r == demand(r, base, hp)
+
+
+@given(
     factor=st.fractions(min_value=Fraction(1, 10), max_value=Fraction(3, 1)),
     bigger=st.fractions(min_value=Fraction(1, 1), max_value=Fraction(2, 1)),
 )

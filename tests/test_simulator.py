@@ -102,6 +102,24 @@ def test_contention_free_accelerator_runs_requests_in_parallel():
     assert validate_trace(res.events, "rr") != []
 
 
+# name, a broken trace, then the one problem validate_trace reports
+BROKEN_TRACES = [
+    ("time goes backwards", [SimEvent(10, "release", "a"), SimEvent(5, "release", "a")],
+     "time went backwards at 5 (release a)"),
+    ("second run on a busy core", [SimEvent(0, "run", "a", "c0"), SimEvent(1, "run", "b", "c0")],
+     "c0 dispatched b at 1 while running a"),
+    ("stop without run", [SimEvent(3, "stop", "a", "c0")], "stop without run: a on c0 at 3"),
+]
+
+
+@pytest.mark.parametrize(
+    "events, problem", [row[1:] for row in BROKEN_TRACES], ids=[row[0] for row in BROKEN_TRACES]
+)
+def test_validate_trace_reports_a_broken_trace(events, problem):
+    for policy in POLICIES:
+        assert validate_trace(events, policy) == [problem]
+
+
 def test_zero_length_phases_pass_through():
     instant_finalize = make_task("a", 20_000, [seg_hwa(300, 0, 2_000)])
     instant_offload = make_task("b", 20_000, [seg_hwa(0, 200, 1_000)])
