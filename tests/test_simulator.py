@@ -220,8 +220,8 @@ def test_cpu_phase_ending_into_cpu_phase_stops_the_job():
 # ---------------------------------------------------------------------------
 # Reference behaviour.  ``tests/data/sim_reference.json`` holds a digest of
 # every case below as an earlier simulator produced it; any change to the
-# schedule, the response times, the random draws or the event order shows up
-# as a mismatch.  Re-record it (only on purpose) with
+# schedule, the response times, the random draws, the event order or any
+# field of any event shows up as a mismatch.  Re-record it (only on purpose) with
 # ``PYTHONPATH=src:tests python tests/test_simulator.py > tests/data/sim_reference.json``.
 # ---------------------------------------------------------------------------
 
@@ -244,27 +244,79 @@ def _reference_cases():
         policy = POLICIES[k % len(POLICIES)]
         drive = None if k % 2 == 0 else k
         cases.append((f"random/{k}/{policy}", inst, asg, policy, drive, None))
+    for name, inst, asg in _targeted_deployments():
+        cases += [
+            (f"targeted/{name}/{policy}/{drive}", inst, asg, policy, drive, None)
+            for policy in POLICIES
+            for drive in (None, 3)
+        ]
     return cases
 
 
-def _digest(res) -> dict:
-    """What the reference pins: outcomes plus a hash of the event list.
+def _targeted_deployments():
+    """Small deployments that put the event loop's same-instant orderings
+    on record, one corner each."""
+    # Zero-length phases: a finalize and an offload that take no time.
+    zero = make_instance(
+        [make_task("a", 20_000, [seg_hwa(300, 0, 2_000)]),
+         make_task("b", 20_000, [seg_hwa(0, 200, 1_000), seg_cpu(400)])]
+    )
+    zero_asg = assign({"a": "c0", "b": "c1"}, {"a": 2, "b": 1}, {"a": {0}, "b": {0}})
+    # A release and a CPU completion in the same microsecond on one core:
+    # hi completes at 1000, 3000, ... just as lo or hi itself is released.
+    tie = make_instance(
+        [make_task("hi", 2_000, [seg_cpu(1_000)]),
+         make_task("lo", 4_000, [seg_cpu(1_000)]),
+         make_task("mid", 1_000, [seg_cpu(0), seg_cpu(0)])],
+        n_cores=1,
+    )
+    tie_asg = assign({"hi": "c0", "lo": "c0", "mid": "c0"}, {"hi": 2, "lo": 1, "mid": 3})
+    # Three requests in the same microsecond from three cores.
+    burst = make_instance(
+        [make_task(t, 30_000, [seg_opt(6_000, 1_000, 300, 2_000)]) for t in ("x", "y", "z")],
+        n_cores=3,
+    )
+    burst_asg = assign(
+        {"x": "c0", "y": "c1", "z": "c2"},
+        {"x": 2, "y": 3, "z": 1},
+        {"x": {0}, "y": {0}, "z": {0}},
+    )
+    # A job released while its predecessor is still on the accelerator, so
+    # it waits in the backlog; a CPU task shares the core.
+    backlog = make_instance(
+        [make_task("slow", 2_000, [seg_hwa(200, 100, 2_500)], deadline=2_000),
+         make_task("cpu", 4_000, [seg_cpu(700)])],
+        n_cores=1,
+    )
+    backlog_asg = assign({"slow": "c0", "cpu": "c0"}, {"slow": 2, "cpu": 1}, {"slow": {0}})
+    return [
+        ("zero-length", zero, zero_asg),
+        ("release-at-completion", tie, tie_asg),
+        ("simultaneous-requests", burst, burst_asg),
+        ("backlog-behind-accelerator", backlog, backlog_asg),
+    ]
 
-    The ``segment_end`` stops are left out of the hash: the recorded
-    simulator did not emit them (and its traces were wrong for it).
+
+def _digest(res) -> dict:
+    """What the reference pins: outcomes plus two hashes of the event list.
+
+    ``events_sha256`` leaves the ``segment_end`` stops out: it was recorded
+    from a simulator that did not emit them (and its traces were wrong for
+    it).  ``trace_sha256`` covers every event, so the full trace is pinned.
     """
-    h = hashlib.sha256()
+    h, full = hashlib.sha256(), hashlib.sha256()
     for ev in res.events:
-        if ev.kind == "stop" and ev.cause == "segment_end":
-            continue
-        fields = [ev.time_us, ev.kind, ev.task, ev.core, ev.segment, ev.cause]
-        h.update(json.dumps(fields).encode() + b"\n")
+        line = json.dumps(list(ev)).encode() + b"\n"
+        full.update(line)
+        if not (ev.kind == "stop" and ev.cause == "segment_end"):
+            h.update(line)
     return {
         "observed_wcrt_us": res.observed_wcrt_us,
         "jobs_finished": res.jobs_finished,
         "deadline_misses": [list(m) for m in res.deadline_misses],
         "truncated": res.truncated,
         "events_sha256": h.hexdigest(),
+        "trace_sha256": full.hexdigest(),
     }
 
 
