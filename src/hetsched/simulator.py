@@ -31,6 +31,18 @@ The simulator executes raw segments (offload, accelerator processing,
 finalize) rather than the merged execution regions the analysis reasons
 about, so agreement between observed response times and analytic bounds is
 evidence for the bounds, not an artifact of shared code.
+
+The event loop indexes tasks and cores by integers.  It keeps the absolute
+completion time of each busy core and of each request in service, so the
+next event time is the least of three minima (release, accelerator, CPU) and
+no running job is touched between its dispatch and its completion or
+preemption.  At each instant it handles releases, accelerator completions,
+CPU completions and grants, in that order, and then dispatches again only
+the cores whose jobs changed state, in core order.  Only a task's oldest
+job can have started, so the others are kept as release times.
+
+:func:`validate_trace` reads each event once.  It keeps the core each task
+runs on, so an ``offload`` or a ``finish`` frees that core without a scan.
 """
 
 from __future__ import annotations
@@ -43,9 +55,6 @@ from typing import NamedTuple
 
 from hetsched.analysis import NO_CONTENTION, NPFP, POLICIES, RR
 from hetsched.model import Assignment, ModelError, ProblemInstance
-
-_CPU = "cpu"
-_ACCEL = "accel"
 
 
 class SimEvent(NamedTuple):
@@ -70,34 +79,27 @@ class SimResult:
         return self.observed_wcrt_us[task_id]
 
 
-class _Job:
-    __slots__ = ("task_id", "release", "deadline", "phases", "idx", "remaining")
-
-    def __init__(self, task_id: str, release: int, deadline: int, phases):
-        self.task_id = task_id
-        self.release = release
-        self.deadline = deadline
-        self.phases = phases  # list of (kind, worst_case, segment_index)
-        self.idx = -1  # no phase entered yet
-        self.remaining = 0
-
-
-def _phase_templates(inst: ProblemInstance, assignment: Assignment) -> dict[str, list]:
-    """Expand each task into its CPU/accelerator phase sequence."""
+def _phases(inst: ProblemInstance, assignment: Assignment) -> list[tuple]:
+    """Each task's CPU/accelerator phase sequence, by task index, closed by
+    ``None`` (the job is done).  A phase is ``(on_accelerator, worst_case,
+    segment_index, shortest, choices)``: a seeded duration is drawn from the
+    ``choices`` integers from ``shortest = ceil(worst_case / 2)`` up."""
     ctype = {c.id: c.type for c in inst.platform.cores}
-    out = {}
+    out = []
     for task in inst.tasks:
         ct = ctype[assignment.core_of[task.id]]
         accelerated = assignment.accelerated_of(task.id)
         phases = []
         for j, seg in enumerate(task.segments):
             if j in accelerated:
-                phases.append((_CPU, seg.offload_us[ct], j))
-                phases.append((_ACCEL, seg.accel_us, j))
-                phases.append((_CPU, seg.finalize_us[ct], j))
+                steps = [(False, seg.offload_us[ct]), (True, seg.accel_us),
+                         (False, seg.finalize_us[ct])]
             else:
-                phases.append((_CPU, seg.exec_us[ct], j))
-        out[task.id] = phases
+                steps = [(False, seg.exec_us[ct])]
+            for accel, worst in steps:
+                shortest = -(-worst // 2)
+                phases.append((accel, worst, j, shortest, worst - shortest + 1))
+        out.append((*phases, None))
     return out
 
 
@@ -117,191 +119,217 @@ def simulate(
     """Run the deployment and report observed response times per task."""
     if policy not in POLICIES:
         raise ModelError(f"unknown policy {policy!r}")
+    if horizon_us is not None and (
+        isinstance(horizon_us, bool) or not isinstance(horizon_us, int) or horizon_us <= 0
+    ):
+        raise ModelError(f"horizon must be a positive integer of microseconds, got {horizon_us!r}")
     # The compiled view rejects a malformed instance or deployment.  The
     # simulator reads none of its analysis tables, so that it stays
     # independent of the analysis.
     inst.compiled.check(assignment)
 
-    rng = random.Random(seed) if seed is not None else None
+    randrange = random.Random(seed).randrange if seed is not None else None
     horizon = default_horizon(inst) if horizon_us is None else horizon_us
     hard_stop = horizon + 4 * max(t.deadline_us for t in inst.tasks)
+    inf = math.inf
 
-    templates = _phase_templates(inst, assignment)
+    # Tasks and cores by index, in instance order.
     task_ids = [t.id for t in inst.tasks]
-    period = {t.id: t.period_us for t in inst.tasks}
-    deadline = {t.id: t.deadline_us for t in inst.tasks}
-    prio = assignment.priority_of
-    core_of = assignment.core_of
+    core_ids = [c.id for c in inst.platform.cores]
+    n = len(task_ids)
+    phases = _phases(inst, assignment)
+    period = [t.period_us for t in inst.tasks]
+    deadline = [t.deadline_us for t in inst.tasks]
+    prio = [assignment.priority_of[tid] for tid in task_ids]
+    core_index = {cid: c for c, cid in enumerate(core_ids)}
+    task_core = [core_index[assignment.core_of[tid]] for tid in task_ids]
     # Each core's tasks by descending priority; the stable sort keeps task
     # order among equal priorities.
-    core_tasks: dict[str, list[str]] = {c.id: [] for c in inst.platform.cores}
-    for tid in sorted(task_ids, key=lambda t: -prio[t]):
-        core_tasks[core_of[tid]].append(tid)
+    core_tasks: list[list[int]] = [[] for _ in core_ids]
+    for i in sorted(range(n), key=lambda i: -prio[i]):
+        core_tasks[task_core[i]].append(i)
 
-    next_release = {
-        tid: 0 if rng is None else rng.randrange(period[tid]) for tid in task_ids
-    }
-    queue: dict[str, deque[_Job]] = {tid: deque() for tid in task_ids}
-    running: dict[str, _Job | None] = {c.id: None for c in inst.platform.cores}
-    dirty: set[str] = set()  # cores whose jobs changed state since the last dispatch
-    pending: dict[str, _Job] = {}  # accelerator requests awaiting a grant
-    # Requests in service, as (absolute completion time, job): at most one
-    # under RR/NPFP, any number under NoContention.
-    serving: list[tuple[int, _Job]] = []
+    # Only the oldest job of a task can be past its release: the others wait
+    # for it to finish.  So a task's jobs are the release times in its queue,
+    # and the per-task lists below describe the head job.
+    first_release = [0 if randrange is None else randrange(p) for p in period]
+    next_release = [r if r < horizon else inf for r in first_release]  # inf: past the horizon
+    queue = [deque() for _ in task_ids]
+    phase = [-1] * n  # the head job's current phase
+    remaining = [0] * n  # of that phase; stale while the job holds its core
+    ready = [False] * n  # the head job is in a CPU phase (on its core or not)
+    running: list[int | None] = [None] * len(core_ids)  # the task on each core
+    done_at = [inf] * len(core_ids)  # absolute completion of each running job
+    dirty: set[int] = set()  # cores whose jobs changed state since the last dispatch
+    pending: dict[int, None] = {}  # tasks awaiting an accelerator grant, in request order
+    # Requests in service, by absolute completion time: at most one under
+    # RR/NPFP, any number under NoContention.
+    serve_done: list[int] = []
+    serve_task: list[int] = []
     rr_token = 0
 
     events: list[SimEvent] = []
-    observed: dict[str, int | None] = {tid: None for tid in task_ids}
-    finished = {tid: 0 for tid in task_ids}
+    emit = events.append
+    new = tuple.__new__
+    observed = [-1] * n  # the longest response so far; -1 before the first
     misses: list[tuple[str, int, int]] = []
     truncated = False
 
-    def emit(time, kind, task, core=None, segment=None, cause=None):
-        events.append(SimEvent(time, kind, task, core, segment, cause))
-
-    def duration(worst: int) -> int:
-        if worst == 0 or rng is None:
-            return worst
-        return rng.randint(-(-worst // 2), worst)
-
-    def advance(job: _Job, now: int) -> None:
-        """Move a job to its next nonzero phase, issuing requests/finishing."""
-        dirty.add(core_of[job.task_id])
+    def advance(i: int, now: int) -> bool:
+        """Move task ``i``'s head job to its next nonzero phase, issuing
+        requests and finishing jobs; return whether that job finished."""
+        dirty.add(task_core[i])
+        steps = phases[i]
+        k = phase[i]
+        done = False
         while True:
-            job.idx += 1
-            if job.idx >= len(job.phases):
-                response = now - job.release
-                prev = observed[job.task_id]
-                observed[job.task_id] = response if prev is None else max(prev, response)
-                finished[job.task_id] += 1
-                if response > job.deadline:
-                    misses.append((job.task_id, job.release, now))
-                    emit(now, "deadline_miss", job.task_id)
-                emit(now, "finish", job.task_id)
-                queue[job.task_id].popleft()
-                if queue[job.task_id]:
-                    advance(queue[job.task_id][0], now)  # backlogged successor
-                return
-            kind, worst, seg = job.phases[job.idx]
-            job.remaining = duration(worst)
-            if job.remaining == 0:
-                continue  # zero-length phase: falls through instantly
-            if kind == _ACCEL:
-                emit(now, "offload", job.task_id, segment=seg)
-                pending[job.task_id] = job
-            return
-
-    def grant(now: int) -> None:
-        nonlocal rr_token
-        if not pending or (serving and policy != NO_CONTENTION):
-            return
-        if policy == NO_CONTENTION:
-            granted = [t for t in task_ids if t in pending]
-        elif policy == RR:
-            # Some task is pending, so the scan stops at one.
-            for step in range(len(task_ids)):
-                tid = task_ids[(rr_token + step) % len(task_ids)]
-                if tid in pending:
-                    rr_token = (rr_token + step + 1) % len(task_ids)
-                    break
-            granted = [tid]
-        else:  # NPFP: highest-priority requester wins, then runs to completion
-            granted = [max(pending, key=lambda t: prio[t])]
-        for tid in granted:
-            job = pending.pop(tid)
-            emit(now, "accel_start", tid, segment=job.phases[job.idx][2])
-            serving.append((now + job.remaining, job))
-
-    def earliest_release() -> float:
-        return min((r for r in next_release.values() if r < horizon), default=math.inf)
+            k += 1
+            step = steps[k]
+            if step is None:
+                q = queue[i]
+                release = q.popleft()
+                response = now - release
+                if response > observed[i]:
+                    observed[i] = response
+                if response > deadline[i]:
+                    misses.append((task_ids[i], release, now))
+                    emit(new(SimEvent, (now, "deadline_miss", task_ids[i], None, None, None)))
+                emit(new(SimEvent, (now, "finish", task_ids[i], None, None, None)))
+                done = True
+                if not q:
+                    ready[i] = False
+                    return done
+                k = -1  # the backlogged successor enters its first phase
+                continue
+            accel, worst, seg, shortest, choices = step
+            if worst and randrange is not None:
+                # The draw of randint(shortest, worst), one call shorter.
+                worst = shortest + randrange(choices)
+            if worst:
+                break
+            # zero-length phase: falls through instantly
+        phase[i] = k
+        remaining[i] = worst
+        ready[i] = not accel
+        if accel:
+            emit(new(SimEvent, (now, "offload", task_ids[i], None, seg, None)))
+            pending[i] = None
+        return done
 
     now = 0
-    release_at = earliest_release()
+    release_at = min(next_release)
+    cpu_next = accel_next = inf
     while True:
         # 1. releases, once the earliest pending one is due
-        if release_at <= now:
-            for tid in task_ids:
-                while next_release[tid] <= now and next_release[tid] < horizon:
-                    release = next_release[tid]
-                    job = _Job(tid, release, deadline[tid], templates[tid])
-                    queue[tid].append(job)
-                    emit(release, "release", tid)
-                    if queue[tid][0] is job:
-                        advance(job, release)  # enter the first phase
-                    next_release[tid] += period[tid]
-            release_at = earliest_release()
+        if release_at == now:
+            i = next_release.index(now)
+            while True:
+                q = queue[i]
+                idle = not q
+                q.append(now)
+                emit(new(SimEvent, (now, "release", task_ids[i], None, None, None)))
+                if idle:
+                    phase[i] = -1
+                    advance(i, now)  # enter the first phase
+                r = now + period[i]
+                next_release[i] = r if r < horizon else inf
+                release_at = min(next_release)
+                if release_at != now:
+                    break
+                i = next_release.index(now, i + 1)
 
-        # 2. accelerator completions
-        for done, job in serving[:]:
-            if done <= now:
-                serving.remove((done, job))
-                emit(now, "accel_done", job.task_id, segment=job.phases[job.idx][2])
-                advance(job, now)
+        # 2. accelerator completions, in grant order
+        if accel_next == now:
+            done_list, task_list = serve_done, serve_task
+            serve_done, serve_task = [], []
+            for done, i in zip(done_list, task_list):
+                if done == now:
+                    seg = phases[i][phase[i]][2]
+                    emit(new(SimEvent, (now, "accel_done", task_ids[i], None, seg, None)))
+                    advance(i, now)
+                else:
+                    serve_done.append(done)
+                    serve_task.append(i)
+            accel_next = min(serve_done, default=inf)
 
         # 3. CPU phase completions.  A job whose next phase is again a CPU
         # phase leaves the core here too, so it is stopped explicitly;
         # ``offload`` and ``finish`` already mark the other ways off a core.
-        for cid, job in running.items():
-            if job is not None and job.remaining == 0:
-                running[cid] = None
-                advance(job, now)
-                if job.idx < len(job.phases) and job.phases[job.idx][0] == _CPU:
-                    emit(now, "stop", job.task_id, core=cid, cause="segment_end")
+        if cpu_next == now:
+            c = done_at.index(now)
+            while True:
+                i = running[c]
+                running[c] = None
+                done_at[c] = inf
+                if not advance(i, now) and ready[i]:
+                    emit(new(SimEvent, (now, "stop", task_ids[i], core_ids[c], None, "segment_end")))
+                if now not in done_at:
+                    break
+                c = done_at.index(now, c + 1)
 
         # 4. accelerator grants (new requests may have just arrived)
-        grant(now)
+        if pending and (policy == NO_CONTENTION or not serve_done):
+            if policy == NO_CONTENTION:
+                granted = sorted(pending)
+            elif policy == RR:
+                # Some task is pending, so the scan stops at one.
+                for step in range(n):
+                    i = (rr_token + step) % n
+                    if i in pending:
+                        rr_token = (i + 1) % n
+                        break
+                granted = [i]
+            else:  # NPFP: highest-priority requester wins, then runs to completion
+                granted = [max(pending, key=prio.__getitem__)]
+            for i in granted:
+                del pending[i]
+                seg = phases[i][phase[i]][2]
+                emit(new(SimEvent, (now, "accel_start", task_ids[i], None, seg, None)))
+                serve_done.append(now + remaining[i])
+                serve_task.append(i)
+            accel_next = min(serve_done)
 
         # 5. dispatch: highest-priority ready job on each core whose jobs
         # changed state; on any other core the choice cannot have changed.
         if dirty:
-            for cid, tids in core_tasks.items():
-                if cid not in dirty:
-                    continue
-                # A job is CPU-ready iff its current phase is a CPU phase;
-                # jobs waiting on or using the accelerator sit on an _ACCEL phase.
+            for c in sorted(dirty):
                 choice = None
-                for tid in tids:
-                    if queue[tid]:
-                        job = queue[tid][0]
-                        if (
-                            job.idx >= 0
-                            and job.phases[job.idx][0] == _CPU
-                            and job.remaining > 0
-                        ):
-                            choice = job
-                            break
-                if running[cid] is not choice:
-                    if running[cid] is not None:
-                        emit(now, "stop", running[cid].task_id, core=cid, cause="preempt")
-                    if choice is not None:
-                        seg = choice.phases[choice.idx][2]
-                        emit(now, "run", choice.task_id, core=cid, segment=seg)
-                    running[cid] = choice
+                for i in core_tasks[c]:
+                    if ready[i]:
+                        choice = i
+                        break
+                current = running[c]
+                if current != choice:
+                    if current is not None:
+                        remaining[current] = done_at[c] - now
+                        emit(new(SimEvent, (now, "stop", task_ids[current], core_ids[c], None, "preempt")))
+                    if choice is None:
+                        done_at[c] = inf
+                    else:
+                        seg = phases[choice][phase[choice]][2]
+                        emit(new(SimEvent, (now, "run", task_ids[choice], core_ids[c], seg, None)))
+                        done_at[c] = now + remaining[choice]
+                    running[c] = choice
             dirty.clear()
+            cpu_next = min(done_at)
 
         # 6. next event time
-        nxt = release_at
-        for done, _ in serving:
-            if done < nxt:
-                nxt = done
-        for job in running.values():
-            if job is not None and now + job.remaining < nxt:
-                nxt = now + job.remaining
-        if nxt == math.inf:
+        now = release_at if release_at < cpu_next else cpu_next
+        if accel_next < now:
+            now = accel_next
+        if now > hard_stop:
+            truncated = now != inf  # nothing left to do is not a truncation
             break
-        if nxt > hard_stop:
-            truncated = True
-            break
-        delta = nxt - now
-        for job in running.values():
-            if job is not None:
-                job.remaining -= delta
-        now = nxt
 
     return SimResult(
         horizon_us=horizon,
-        observed_wcrt_us=observed,
-        jobs_finished=finished,
+        observed_wcrt_us={tid: None if r < 0 else r for tid, r in zip(task_ids, observed)},
+        # Every release falls before the hard stop, so the jobs finished are
+        # the jobs released less those still queued.
+        jobs_finished={
+            tid: len(range(first_release[i], horizon, period[i])) - len(queue[i])
+            for i, tid in enumerate(task_ids)
+        },
         deadline_misses=misses,
         truncated=truncated,
         events=events,
@@ -313,53 +341,67 @@ def validate_trace(events: list[SimEvent], policy: str) -> list[str]:
 
     Verifies that every core runs at most one job at a time, that the
     accelerator serves at most one request at a time under the serializing
-    policies, and that every service interval is bracketed by a matching
-    request.
+    policies, that every service interval is bracketed by a matching
+    request, and that every event is of a known kind.
     """
+    if policy not in POLICIES:
+        raise ModelError(f"unknown policy {policy!r}")
+    serial = policy in (RR, NPFP)
     problems: list[str] = []
+    add = problems.append
     core_busy: dict[str, str] = {}
+    # The core each task last ran on.  While no task runs on two cores at
+    # once, it names the only core a task can hold; after that, cores are
+    # found by scanning ``core_busy``.
+    task_core: dict[str, str] = {}
+    spread = False
     device_busy: str | None = None
     requested: set[str] = set()
     last_time = 0
-    for ev in events:
-        if ev.time_us < last_time:
-            problems.append(f"time went backwards at {ev.time_us} ({ev.kind} {ev.task})")
-        last_time = max(last_time, ev.time_us)
-        if ev.kind == "run":
-            if core_busy.get(ev.core) not in (None, ev.task):
-                problems.append(
-                    f"{ev.core} dispatched {ev.task} at {ev.time_us} while running "
-                    f"{core_busy[ev.core]}"
-                )
-            core_busy[ev.core] = ev.task
-        elif ev.kind == "stop":
-            if core_busy.get(ev.core) != ev.task:
-                problems.append(f"stop without run: {ev.task} on {ev.core} at {ev.time_us}")
+    for time, kind, task, core, _, _ in events:
+        if time < last_time:
+            add(f"time went backwards at {time} ({kind} {task})")
+        else:
+            last_time = time
+        if kind == "run":
+            held = core_busy.get(core)
+            if held is not None and held != task:
+                add(f"{core} dispatched {task} at {time} while running {held}")
+            core_busy[core] = task
+            if not spread:
+                other = task_core.get(task)
+                spread = other is not None and other != core and core_busy.get(other) == task
+                task_core[task] = core
+        elif kind == "release" or kind == "deadline_miss":
+            pass
+        elif kind == "finish" or kind == "offload":
+            if kind == "offload":
+                requested.add(task)
+            if spread:
+                for cid in [cid for cid, tid in core_busy.items() if tid == task]:
+                    del core_busy[cid]
             else:
-                del core_busy[ev.core]
-        elif ev.kind == "offload":
-            requested.add(ev.task)
-            for cid, tid in list(core_busy.items()):
-                if tid == ev.task:
+                cid = task_core.get(task)
+                if cid is not None and core_busy.get(cid) == task:
                     del core_busy[cid]
-        elif ev.kind == "finish":
-            for cid, tid in list(core_busy.items()):
-                if tid == ev.task:
-                    del core_busy[cid]
-        elif ev.kind == "accel_start":
-            if ev.task not in requested:
-                problems.append(f"service without request: {ev.task} at {ev.time_us}")
-            requested.discard(ev.task)
-            if policy in (RR, NPFP):
+        elif kind == "stop":
+            if core_busy.get(core) != task:
+                add(f"stop without run: {task} on {core} at {time}")
+            else:
+                del core_busy[core]
+        elif kind == "accel_start":
+            if task not in requested:
+                add(f"service without request: {task} at {time}")
+            requested.discard(task)
+            if serial:
                 if device_busy is not None:
-                    problems.append(
-                        f"accelerator started {ev.task} at {ev.time_us} while serving "
-                        f"{device_busy}"
-                    )
-                device_busy = ev.task
-        elif ev.kind == "accel_done":
-            if policy in (RR, NPFP):
-                if device_busy != ev.task:
-                    problems.append(f"completion without service: {ev.task} at {ev.time_us}")
+                    add(f"accelerator started {task} at {time} while serving {device_busy}")
+                device_busy = task
+        elif kind == "accel_done":
+            if serial:
+                if device_busy != task:
+                    add(f"completion without service: {task} at {time}")
                 device_busy = None
+        else:
+            add(f"unknown event kind {kind!r}: {task} at {time}")
     return problems

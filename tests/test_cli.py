@@ -363,6 +363,8 @@ MALFORMED = [
     ("priority is a fraction", None, _edited(PUBLISHED_DOC, ("priority_of", "dasm"), 6.5), []),
     ("accelerated is a number", None, _edited(PUBLISHED_DOC, ("accelerated", "dasm"), 3), []),
     ("scale is not a number", None, None, ["--scale", "abc"]),
+    ("horizon is zero", None, None, ["--horizon", "0"]),
+    ("horizon is negative", None, None, ["--horizon", "-5"]),
 ] + [
     (f"{path} is {value!r}", inst_text, asg_text, [])
     for path, value, inst_text, asg_text in NON_STRING_IDS
@@ -382,10 +384,12 @@ def test_malformed_documents_and_flags_are_clean_errors(
     if asg_text is not None:
         asg = tmp_path / "bad_assignment.json"
         asg.write_text(asg_text)
-    commands = [["validate", "--instance", str(inst)]] if asg_text is None else []
-    commands.append(
-        ["analyze", "--instance", str(inst), "--assignment", str(asg), "--policy", "rr"]
-    )
+    deployment = ["--instance", str(inst), "--assignment", str(asg), "--policy", "rr"]
+    commands = [["simulate", *deployment]]
+    if "--horizon" not in flags:  # the one flag only ``simulate`` takes
+        commands.append(["analyze", *deployment])
+        if asg_text is None:
+            commands.append(["validate", "--instance", str(inst)])
     for argv in commands:
         code, out, err = run(capsys, *argv, *flags)
         assert code == 1, argv

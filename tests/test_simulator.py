@@ -190,6 +190,52 @@ def test_validator_flags_service_without_request():
     assert any("without request" in p for p in problems)
 
 
+@pytest.mark.parametrize("horizon", [0, -5, 1.5, True, "100"])
+def test_rejects_a_horizon_that_is_not_a_positive_integer(horizon):
+    t = make_task("t", 10_000, [seg_cpu(1_000)])
+    inst = make_instance([t], n_cores=1)
+    with pytest.raises(ModelError, match="horizon"):
+        simulate(inst, assign({"t": "c0"}, {"t": 1}), "rr", horizon_us=horizon)
+
+
+def test_validator_refuses_an_unknown_policy():
+    with pytest.raises(ModelError, match="policy"):
+        validate_trace([], "bogus")
+
+
+def test_validator_reports_an_unknown_event_kind():
+    events = [SimEvent(0, "release", "a"), SimEvent(2, "teleport", "a", "c0")]
+    for policy in POLICIES:
+        assert validate_trace(events, policy) == ["unknown event kind 'teleport': a at 2"]
+
+
+def test_random_deployments_stay_within_the_conservative_bounds():
+    """A seeded sweep under every policy and both drives: every trace is well
+    formed, and no deployment the conservative analysis accepts shows a
+    response time above its bound."""
+    rng = random.Random(4711)
+    failures, accepted = [], 0
+    for k in range(150):
+        inst = random_instance(rng, max_tasks=4, util=(0.3, 1.1))
+        asg = random_assignment(rng, inst)
+        for policy in POLICIES:
+            report = analyze(inst, asg, policy, mode=CONSERVATIVE)
+            accepted += report.schedulable
+            for drive in (None, k):
+                res = simulate(inst, asg, policy, seed=drive)
+                failures += [(k, policy, drive, p) for p in validate_trace(res.events, policy)]
+                if not report.schedulable:
+                    continue
+                if res.truncated:
+                    failures.append((k, policy, drive, "truncated"))
+                for task in inst.tasks:
+                    observed = res.observed(task.id)
+                    if observed is not None and observed > report.task(task.id).wcrt_us:
+                        failures.append((k, policy, drive, task.id, observed))
+    assert failures == []
+    assert accepted >= 150  # the sweep checks the bounds, not only the traces
+
+
 def test_benchmark_deployment_honors_all_analytic_bounds():
     inst = builtin_waters()
     asg = waters_published_assignment()
