@@ -155,8 +155,9 @@ def simulate(
     first_release = [0 if randrange is None else randrange(p) for p in period]
     next_release = [r if r < horizon else inf for r in first_release]  # inf: past the horizon
     queue = [deque() for _ in task_ids]
-    phase = [-1] * n  # the head job's current phase
-    remaining = [0] * n  # of that phase; stale while the job holds its core
+    cursor: list = [None] * n  # the head job's phases still ahead of it
+    segment = [0] * n  # the segment of its current phase
+    remaining = [0] * n  # the length of that phase; stale while the job holds its core
     ready = [False] * n  # the head job is in a CPU phase (on its core or not)
     running: list[int | None] = [None] * len(core_ids)  # the task on each core
     done_at = [inf] * len(core_ids)  # absolute completion of each running job
@@ -179,12 +180,9 @@ def simulate(
         """Move task ``i``'s head job to its next nonzero phase, issuing
         requests and finishing jobs; return whether that job finished."""
         dirty.add(task_core[i])
-        steps = phases[i]
-        k = phase[i]
-        done = False
+        upcoming = cursor[i]
         while True:
-            k += 1
-            step = steps[k]
+            step = next(upcoming)
             if step is None:
                 q = queue[i]
                 release = q.popleft()
@@ -195,12 +193,12 @@ def simulate(
                     misses.append((task_ids[i], release, now))
                     emit(new(SimEvent, (now, "deadline_miss", task_ids[i], None, None, None)))
                 emit(new(SimEvent, (now, "finish", task_ids[i], None, None, None)))
-                done = True
-                if not q:
+                if q:  # the backlogged successor enters its first phase
+                    cursor[i] = iter(phases[i])
+                    advance(i, now)
+                else:
                     ready[i] = False
-                    return done
-                k = -1  # the backlogged successor enters its first phase
-                continue
+                return True
             accel, worst, seg, shortest, choices = step
             if worst and randrange is not None:
                 # The draw of randint(shortest, worst), one call shorter.
@@ -208,13 +206,13 @@ def simulate(
             if worst:
                 break
             # zero-length phase: falls through instantly
-        phase[i] = k
+        segment[i] = seg
         remaining[i] = worst
         ready[i] = not accel
         if accel:
             emit(new(SimEvent, (now, "offload", task_ids[i], None, seg, None)))
             pending[i] = None
-        return done
+        return False
 
     now = 0
     release_at = min(next_release)
@@ -229,7 +227,7 @@ def simulate(
                 q.append(now)
                 emit(new(SimEvent, (now, "release", task_ids[i], None, None, None)))
                 if idle:
-                    phase[i] = -1
+                    cursor[i] = iter(phases[i])
                     advance(i, now)  # enter the first phase
                 r = now + period[i]
                 next_release[i] = r if r < horizon else inf
@@ -244,8 +242,7 @@ def simulate(
             serve_done, serve_task = [], []
             for done, i in zip(done_list, task_list):
                 if done == now:
-                    seg = phases[i][phase[i]][2]
-                    emit(new(SimEvent, (now, "accel_done", task_ids[i], None, seg, None)))
+                    emit(new(SimEvent, (now, "accel_done", task_ids[i], None, segment[i], None)))
                     advance(i, now)
                 else:
                     serve_done.append(done)
@@ -262,7 +259,8 @@ def simulate(
                 running[c] = None
                 done_at[c] = inf
                 if not advance(i, now) and ready[i]:
-                    emit(new(SimEvent, (now, "stop", task_ids[i], core_ids[c], None, "segment_end")))
+                    stop = (now, "stop", task_ids[i], core_ids[c], None, "segment_end")
+                    emit(new(SimEvent, stop))
                 if now not in done_at:
                     break
                 c = done_at.index(now, c + 1)
@@ -283,8 +281,7 @@ def simulate(
                 granted = [max(pending, key=prio.__getitem__)]
             for i in granted:
                 del pending[i]
-                seg = phases[i][phase[i]][2]
-                emit(new(SimEvent, (now, "accel_start", task_ids[i], None, seg, None)))
+                emit(new(SimEvent, (now, "accel_start", task_ids[i], None, segment[i], None)))
                 serve_done.append(now + remaining[i])
                 serve_task.append(i)
             accel_next = min(serve_done)
@@ -302,12 +299,13 @@ def simulate(
                 if current != choice:
                     if current is not None:
                         remaining[current] = done_at[c] - now
-                        emit(new(SimEvent, (now, "stop", task_ids[current], core_ids[c], None, "preempt")))
+                        stop = (now, "stop", task_ids[current], core_ids[c], None, "preempt")
+                        emit(new(SimEvent, stop))
                     if choice is None:
                         done_at[c] = inf
                     else:
-                        seg = phases[choice][phase[choice]][2]
-                        emit(new(SimEvent, (now, "run", task_ids[choice], core_ids[c], seg, None)))
+                        run = (now, "run", task_ids[choice], core_ids[c], segment[choice], None)
+                        emit(new(SimEvent, run))
                         done_at[c] = now + remaining[choice]
                     running[c] = choice
             dirty.clear()
