@@ -80,10 +80,9 @@ class SimResult:
 
 
 def _phases(inst: ProblemInstance, assignment: Assignment) -> list[tuple]:
-    """Each task's CPU/accelerator phase sequence, by task index, closed by
-    ``None`` (the job is done).  A phase is ``(on_accelerator, worst_case,
-    segment_index, shortest, choices)``: a seeded duration is drawn from the
-    ``choices`` integers from ``shortest = ceil(worst_case / 2)`` up."""
+    """Each task's CPU/accelerator phase sequence, by task index, as
+    ``(on_accelerator, worst_case, segment_index, shortest_draw)``, closed by
+    ``None``: the job is done."""
     ctype = {c.id: c.type for c in inst.platform.cores}
     out = []
     for task in inst.tasks:
@@ -96,9 +95,7 @@ def _phases(inst: ProblemInstance, assignment: Assignment) -> list[tuple]:
                          (False, seg.finalize_us[ct])]
             else:
                 steps = [(False, seg.exec_us[ct])]
-            for accel, worst in steps:
-                shortest = -(-worst // 2)
-                phases.append((accel, worst, j, shortest, worst - shortest + 1))
+            phases += [(accel, worst, j, -(-worst // 2)) for accel, worst in steps]
         out.append((*phases, None))
     return out
 
@@ -122,7 +119,9 @@ def simulate(
     if horizon_us is not None and (
         isinstance(horizon_us, bool) or not isinstance(horizon_us, int) or horizon_us <= 0
     ):
-        raise ModelError(f"horizon must be a positive integer of microseconds, got {horizon_us!r}")
+        raise ModelError(
+            f"horizon must be a positive whole number of microseconds, got {horizon_us!r}"
+        )
     # The compiled view rejects a malformed instance or deployment.  The
     # simulator reads none of its analysis tables, so that it stays
     # independent of the analysis.
@@ -149,11 +148,11 @@ def simulate(
     for i in sorted(range(n), key=lambda i: -prio[i]):
         core_tasks[task_core[i]].append(i)
 
-    # Only the oldest job of a task can be past its release: the others wait
+    # Only a task's oldest unfinished job can have started: the others wait
     # for it to finish.  So a task's jobs are the release times in its queue,
-    # and the per-task lists below describe the head job.
-    first_release = [0 if randrange is None else randrange(p) for p in period]
-    next_release = [r if r < horizon else inf for r in first_release]  # inf: past the horizon
+    # and the per-task lists below describe the oldest, the head job.
+    next_release = [0 if randrange is None else randrange(p) for p in period]
+    next_release = [r if r < horizon else inf for r in next_release]  # inf: past the horizon
     queue = [deque() for _ in task_ids]
     cursor: list = [None] * n  # the head job's phases still ahead of it
     segment = [0] * n  # the segment of its current phase
@@ -173,6 +172,7 @@ def simulate(
     emit = events.append
     new = tuple.__new__
     observed = [-1] * n  # the longest response so far; -1 before the first
+    finished = [0] * n
     misses: list[tuple[str, int, int]] = []
     truncated = False
 
@@ -189,6 +189,7 @@ def simulate(
                 response = now - release
                 if response > observed[i]:
                     observed[i] = response
+                finished[i] += 1
                 if response > deadline[i]:
                     misses.append((task_ids[i], release, now))
                     emit(new(SimEvent, (now, "deadline_miss", task_ids[i], None, None, None)))
@@ -199,10 +200,9 @@ def simulate(
                 else:
                     ready[i] = False
                 return True
-            accel, worst, seg, shortest, choices = step
+            accel, worst, seg, shortest = step
             if worst and randrange is not None:
-                # The draw of randint(shortest, worst), one call shorter.
-                worst = shortest + randrange(choices)
+                worst = randrange(shortest, worst + 1)
             if worst:
                 break
             # zero-length phase: falls through instantly
@@ -322,12 +322,7 @@ def simulate(
     return SimResult(
         horizon_us=horizon,
         observed_wcrt_us={tid: None if r < 0 else r for tid, r in zip(task_ids, observed)},
-        # Every release falls before the hard stop, so the jobs finished are
-        # the jobs released less those still queued.
-        jobs_finished={
-            tid: len(range(first_release[i], horizon, period[i])) - len(queue[i])
-            for i, tid in enumerate(task_ids)
-        },
+        jobs_finished=dict(zip(task_ids, finished)),
         deadline_misses=misses,
         truncated=truncated,
         events=events,
