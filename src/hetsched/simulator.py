@@ -81,8 +81,8 @@ class SimResult:
 
 def _phases(inst: ProblemInstance, assignment: Assignment) -> list[tuple]:
     """Each task's CPU/accelerator phase sequence, by task index, as
-    ``(on_accelerator, worst_case, segment_index, shortest_draw)``, closed by
-    ``None``: the job is done."""
+    ``(on_accelerator, worst_case, segment_index)``, closed by ``None``: the
+    job is done."""
     ctype = {c.id: c.type for c in inst.platform.cores}
     out = []
     for task in inst.tasks:
@@ -91,11 +91,11 @@ def _phases(inst: ProblemInstance, assignment: Assignment) -> list[tuple]:
         phases = []
         for j, seg in enumerate(task.segments):
             if j in accelerated:
-                steps = [(False, seg.offload_us[ct]), (True, seg.accel_us),
-                         (False, seg.finalize_us[ct])]
+                phases.append((False, seg.offload_us[ct], j))
+                phases.append((True, seg.accel_us, j))
+                phases.append((False, seg.finalize_us[ct], j))
             else:
-                steps = [(False, seg.exec_us[ct])]
-            phases += [(accel, worst, j, -(-worst // 2)) for accel, worst in steps]
+                phases.append((False, seg.exec_us[ct], j))
         out.append((*phases, None))
     return out
 
@@ -162,10 +162,9 @@ def simulate(
     done_at = [inf] * len(core_ids)  # absolute completion of each running job
     dirty: set[int] = set()  # cores whose jobs changed state since the last dispatch
     pending: dict[int, None] = {}  # tasks awaiting an accelerator grant, in request order
-    # Requests in service, by absolute completion time: at most one under
-    # RR/NPFP, any number under NoContention.
-    serve_done: list[int] = []
-    serve_task: list[int] = []
+    # Requests in service as (absolute completion time, task), in grant
+    # order: at most one under RR/NPFP, any number under NoContention.
+    serving: list[tuple[int, int]] = []
     rr_token = 0
 
     events: list[SimEvent] = []
@@ -200,9 +199,9 @@ def simulate(
                 else:
                     ready[i] = False
                 return True
-            accel, worst, seg, shortest = step
+            accel, worst, seg = step
             if worst and randrange is not None:
-                worst = randrange(shortest, worst + 1)
+                worst = randrange(-(-worst // 2), worst + 1)
             if worst:
                 break
             # zero-length phase: falls through instantly
@@ -238,16 +237,11 @@ def simulate(
 
         # 2. accelerator completions, in grant order
         if accel_next == now:
-            done_list, task_list = serve_done, serve_task
-            serve_done, serve_task = [], []
-            for done, i in zip(done_list, task_list):
-                if done == now:
-                    emit(new(SimEvent, (now, "accel_done", task_ids[i], None, segment[i], None)))
-                    advance(i, now)
-                else:
-                    serve_done.append(done)
-                    serve_task.append(i)
-            accel_next = min(serve_done, default=inf)
+            for done, i in [entry for entry in serving if entry[0] == now]:
+                serving.remove((done, i))
+                emit(new(SimEvent, (now, "accel_done", task_ids[i], None, segment[i], None)))
+                advance(i, now)
+            accel_next = min(serving)[0] if serving else inf
 
         # 3. CPU phase completions.  A job whose next phase is again a CPU
         # phase leaves the core here too, so it is stopped explicitly;
@@ -266,7 +260,7 @@ def simulate(
                 c = done_at.index(now, c + 1)
 
         # 4. accelerator grants (new requests may have just arrived)
-        if pending and (policy == NO_CONTENTION or not serve_done):
+        if pending and (policy == NO_CONTENTION or not serving):
             if policy == NO_CONTENTION:
                 granted = sorted(pending)
             elif policy == RR:
@@ -282,9 +276,8 @@ def simulate(
             for i in granted:
                 del pending[i]
                 emit(new(SimEvent, (now, "accel_start", task_ids[i], None, segment[i], None)))
-                serve_done.append(now + remaining[i])
-                serve_task.append(i)
-            accel_next = min(serve_done)
+                serving.append((now + remaining[i], i))
+            accel_next = min(serving)[0]
 
         # 5. dispatch: highest-priority ready job on each core whose jobs
         # changed state; on any other core the choice cannot have changed.
