@@ -180,6 +180,7 @@ def simulate(
         requests and finishing jobs; return whether that job finished."""
         dirty.add(task_core[i])
         upcoming = cursor[i]
+        done = False
         while True:
             step = next(upcoming)
             if step is None:
@@ -193,12 +194,15 @@ def simulate(
                     misses.append((task_ids[i], release, now))
                     emit(new(SimEvent, (now, "deadline_miss", task_ids[i], None, None, None)))
                 emit(new(SimEvent, (now, "finish", task_ids[i], None, None, None)))
-                if q:  # the backlogged successor enters its first phase
-                    cursor[i] = iter(phases[i])
-                    advance(i, now)
-                else:
+                done = True
+                if not q:
                     ready[i] = False
-                return True
+                    return done
+                # The backlogged successor enters its first phase.  (A loop,
+                # not a call: a self-calling closure would be a reference
+                # cycle that keeps this run's lists alive after it returns.)
+                upcoming = cursor[i] = iter(phases[i])
+                continue
             accel, worst, seg = step
             if worst and randrange is not None:
                 worst = randrange(-(-worst // 2), worst + 1)
@@ -211,7 +215,7 @@ def simulate(
         if accel:
             emit(new(SimEvent, (now, "offload", task_ids[i], None, seg, None)))
             pending[i] = None
-        return False
+        return done
 
     now = 0
     release_at = min(next_release)

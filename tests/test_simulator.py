@@ -1,5 +1,6 @@
 """Discrete-event simulation: dispatching, arbitration, and trace validation."""
 
+import gc
 import hashlib
 import json
 import random
@@ -209,6 +210,19 @@ def test_validator_reports_an_unknown_event_kind():
         assert validate_trace(events, policy) == ["unknown event kind 'teleport': a at 2"]
 
 
+def test_a_run_leaves_no_reference_cycle():
+    # A cycle would keep the whole trace alive after the caller drops it,
+    # until the cyclic collector happens to run.
+    inst, asg = builtin_waters(), waters_published_assignment()
+    gc.collect()
+    gc.disable()
+    try:
+        simulate(inst, asg, "npfp", seed=3)
+        assert gc.collect() == 0
+    finally:
+        gc.enable()
+
+
 def test_random_deployments_stay_within_the_conservative_bounds():
     """A seeded sweep under every policy and both drives: every trace is well
     formed, and no deployment the conservative analysis accepts shows a
@@ -309,7 +323,8 @@ def _targeted_deployments():
     )
     zero_asg = assign({"a": "c0", "b": "c1"}, {"a": 2, "b": 1}, {"a": {0}, "b": {0}})
     # A release and a CPU completion in the same microsecond on one core:
-    # hi completes at 1000, 3000, ... just as lo or hi itself is released.
+    # hi completes at 1000 as mid (which takes no time) is released, and lo
+    # at 2000 as hi and mid are.
     tie = make_instance(
         [make_task("hi", 2_000, [seg_cpu(1_000)]),
          make_task("lo", 4_000, [seg_cpu(1_000)]),
