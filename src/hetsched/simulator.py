@@ -362,7 +362,7 @@ def validate_trace(events: list[SimEvent], policy: str) -> list[str]:
                 other = task_core.get(task)
                 spread = other is not None and other != core and core_busy.get(other) == task
                 task_core[task] = core
-        elif kind == "release" or kind == "deadline_miss":
+        elif kind == "release":
             pass
         elif kind == "finish" or kind == "offload":
             if kind == "offload":
@@ -392,6 +392,6 @@ def validate_trace(events: list[SimEvent], policy: str) -> list[str]:
                 if device_busy != task:
                     add(f"completion without service: {task} at {time}")
                 device_busy = None
-        else:
+        elif kind != "deadline_miss":
             add(f"unknown event kind {kind!r}: {task} at {time}")
     return problems
