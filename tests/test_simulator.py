@@ -214,6 +214,7 @@ def test_a_run_leaves_no_reference_cycle():
     # A cycle would keep the whole trace alive after the caller drops it,
     # until the cyclic collector happens to run.
     inst, asg = builtin_waters(), waters_published_assignment()
+    simulate(inst, asg, "npfp", seed=3)  # builds the instance's cached views
     gc.collect()
     gc.disable()
     try:
