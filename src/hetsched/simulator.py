@@ -41,15 +41,16 @@ CPU completions and grants, in that order, and then dispatches again only
 the cores whose jobs changed state, in core order.  Only a task's oldest
 job can have started, so the others are kept as release times.
 
-:func:`validate_trace` reads each event once.  It keeps the core each task
-runs on, so an ``offload`` or a ``finish`` frees that core without a scan.
+:func:`validate_trace` reads each event once.  It keeps the cores each task
+was dispatched to since it last left them, so an ``offload`` or a ``finish``
+frees them without a scan over every core.
 """
 
 from __future__ import annotations
 
 import math
 import random
-from collections import deque
+from collections import defaultdict, deque
 from dataclasses import dataclass, field
 from typing import NamedTuple
 
@@ -340,11 +341,9 @@ def validate_trace(events: list[SimEvent], policy: str) -> list[str]:
     problems: list[str] = []
     add = problems.append
     core_busy: dict[str, str] = {}
-    # The core each task last ran on.  While no task runs on two cores at
-    # once, it names the only core a task can hold; after that, cores are
-    # found by scanning ``core_busy``.
-    task_core: dict[str, str] = {}
-    spread = False
+    # The cores each task was dispatched to since it last offloaded or
+    # finished: a superset of the cores it holds.
+    task_cores: defaultdict[str, set[str]] = defaultdict(set)
     device_busy: str | None = None
     requested: set[str] = set()
     last_time = 0
@@ -358,22 +357,17 @@ def validate_trace(events: list[SimEvent], policy: str) -> list[str]:
             if held is not None and held != task:
                 add(f"{core} dispatched {task} at {time} while running {held}")
             core_busy[core] = task
-            if not spread:
-                other = task_core.get(task)
-                spread = other is not None and other != core and core_busy.get(other) == task
-                task_core[task] = core
+            task_cores[task].add(core)
         elif kind == "release":
             pass
         elif kind == "finish" or kind == "offload":
             if kind == "offload":
                 requested.add(task)
-            if spread:
-                for cid in [cid for cid, tid in core_busy.items() if tid == task]:
+            cores = task_cores[task]
+            for cid in cores:
+                if core_busy.get(cid) == task:
                     del core_busy[cid]
-            else:
-                cid = task_core.get(task)
-                if cid is not None and core_busy.get(cid) == task:
-                    del core_busy[cid]
+            cores.clear()
         elif kind == "stop":
             if core_busy.get(core) != task:
                 add(f"stop without run: {task} on {core} at {time}")
