@@ -6,7 +6,6 @@ writer, backends, decoder) are importable individually.
 
 from __future__ import annotations
 
-import functools
 import time
 from dataclasses import dataclass
 from fractions import Fraction
@@ -34,7 +33,7 @@ from hetsched.milp.decode import (
 )
 from hetsched.milp.ir import MilpModel
 from hetsched.milp.lpwriter import write_lp, write_lp_file
-from hetsched.model import Assignment, ProblemInstance
+from hetsched.model import Assignment, ProblemInstance, assignment_to_dict
 
 MAX_ACCELERATION = "max-acceleration"
 
@@ -51,7 +50,7 @@ class OptimizeResult:
     runtime_s: float  # the whole call: build, solve(s), decode and verify
     model_stats: dict
     message: str = ""
-    nodes: int | None = None  # branch-and-bound nodes, summed over every solve of the call
+    nodes: int | None = None  # branch-and-bound nodes over every solve; None if one reported none
     dual_bound: float | None = None  # the solver's proven bound on solver_objective
     resolved_without_presolve: bool = False  # an infeasible or refuted answer was re-solved
 
@@ -60,8 +59,6 @@ class OptimizeResult:
         return self.status in (OPTIMAL, FEASIBLE) and self.verified
 
     def to_dict(self) -> dict:
-        from hetsched.model import assignment_to_dict
-
         return {
             "status": self.status,
             "objective": None if self.objective is None else float(self.objective),
@@ -92,45 +89,6 @@ def _pin_and_maximize_acceleration(model: MilpModel, incumbent: float) -> None:
         "tiebreak_pin", list(model.objective.items()), "<=", incumbent + slack
     )
     model.set_objective([(col, -1.0) for cols in model.meta["a"] for col in cols.values()])
-
-
-@dataclass(frozen=True)
-class _Attempt:
-    """One pass of :func:`optimize`: the main solve and, if it found a
-    deployment, that deployment and its verification."""
-
-    res: SolveResult
-    status: str
-    nodes: int | None  # summed over the tie-break re-solve
-    assignment: Assignment | None = None
-    verification: VerificationResult | None = None
-
-
-def _solve_and_verify(
-    inst, model, backend, policy, objective, time_limit, mip_gap, tie_break, **options
-) -> _Attempt:
-    res = backend.solve(model, time_limit=time_limit, mip_gap=mip_gap, **options)
-    if not res.has_solution:
-        return _Attempt(res=res, status=res.status, nodes=res.nodes)
-    status, values, nodes = res.status, res.values, res.nodes
-    if tie_break == MAX_ACCELERATION and res.objective is not None:
-        _pin_and_maximize_acceleration(model, res.objective)
-        res2 = backend.solve(model, time_limit=time_limit, mip_gap=mip_gap, **options)
-        if nodes is not None and res2.nodes is not None:
-            nodes += res2.nodes
-        if res2.has_solution:
-            values = res2.values
-            status = res2.status if status == OPTIMAL else status
-    assignment = decode_assignment(model, values)
-    verification = verify_solution(
-        inst,
-        assignment,
-        policy,
-        objective,
-        claimed=res.objective,
-        proven=res.status == OPTIMAL and mip_gap == 0,
-    )
-    return _Attempt(res, status, nodes, assignment, verification)
 
 
 def optimize(
@@ -166,46 +124,57 @@ def optimize(
     if backend is None or isinstance(backend, str):
         backend = get_backend(backend)
 
-    solve = functools.partial(
-        _solve_and_verify,
-        inst,
-        backend=backend,
-        policy=policy,
-        objective=objective,
-        time_limit=time_limit,
-        mip_gap=mip_gap,
-        tie_break=tie_break,
+    nodes: list[int | None] = []  # as each solve reports them
+
+    def solve(**options) -> SolveResult:
+        res = backend.solve(model, time_limit=time_limit, mip_gap=mip_gap, **options)
+        nodes.append(res.nodes)
+        return res
+
+    def attempt(**options):
+        """The main solve and, if it found a deployment, the tie-break
+        re-solve, the deployment and its verification."""
+        res = solve(**options)
+        if not res.has_solution:
+            return res, res.status, None, None
+        status, values = res.status, res.values
+        if tie_break == MAX_ACCELERATION and res.objective is not None:
+            _pin_and_maximize_acceleration(model, res.objective)
+            res2 = solve(**options)
+            if res2.has_solution:
+                values = res2.values
+                status = res2.status if status == OPTIMAL else status
+        assignment = decode_assignment(model, values)
+        proven = res.status == OPTIMAL and mip_gap == 0
+        verification = verify_solution(
+            inst, assignment, policy, objective, claimed=res.objective, proven=proven
+        )
+        return res, status, assignment, verification
+
+    res, status, assignment, verification = attempt()
+    resolved = isinstance(backend, ScipyBackend) and (
+        status == INFEASIBLE or (verification is not None and verification.refutes_proof)
     )
-    attempt = solve(model)
-    nodes = attempt.nodes
-    resolved = False
-    if isinstance(backend, ScipyBackend) and (
-        attempt.status == INFEASIBLE
-        or (attempt.verification is not None and attempt.verification.refutes_proof)
-    ):
+    if resolved:
         # The tie-break pinned the first model's objective to the refuted claim.
         if tie_break is not None:
             model = build_milp(inst, policy, objective)
-        retry = solve(model, presolve=False)
-        resolved = True
-        if nodes is not None and retry.nodes is not None:
-            nodes += retry.nodes
-        if retry.verification is not None:
-            attempt = retry
+        retry = attempt(presolve=False)
+        if retry[-1] is not None:  # a re-solve without a deployment keeps the first answer
+            res, status, assignment, verification = retry
 
-    res, verification = attempt.res, attempt.verification
     return OptimizeResult(
-        status=attempt.status,
+        status=status,
         objective=None if verification is None else verification.objective,
         solver_objective=res.objective,
-        assignment=attempt.assignment,
+        assignment=assignment,
         report=None if verification is None else verification.report,
         verified=verification is not None and verification.ok,
         gap=res.gap,
         runtime_s=time.perf_counter() - start,
         model_stats=stats,
         message=(verification is not None and verification.message) or res.message,
-        nodes=nodes,
+        nodes=None if None in nodes else sum(nodes),
         dual_bound=res.dual_bound,
         resolved_without_presolve=resolved,
     )

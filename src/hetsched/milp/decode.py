@@ -94,41 +94,25 @@ def verify_solution(
         )
     report = analyze(inst, assignment, policy, mode=CONSERVATIVE)
     value = evaluate_objective(report, objective)
+    message, refutes_proof = "", False
     if value is None:
-        return VerificationResult(
-            ok=False,
-            schedulable=False,
-            objective=None,
-            claimed=claimed,
-            report=report,
-            message="deployment fails the conservative schedulability test",
-        )
-    if claimed is not None:
+        message = "deployment fails the conservative schedulability test"
+    elif claimed is not None:
         slack = CLAIM_TOLERANCE * max(1.0, abs(claimed))
         if float(value) > claimed + slack:
-            return VerificationResult(
-                ok=False,
-                schedulable=True,
-                objective=value,
-                claimed=claimed,
-                report=report,
-                message=(
-                    f"solver claimed {claimed} but the analysis only certifies {float(value)}"
-                ),
+            message = f"solver claimed {claimed} but the analysis only certifies {float(value)}"
+        elif proven and float(value) < claimed - slack:
+            message = (
+                f"solver proved {claimed} optimal but its own deployment "
+                f"analyzes to {float(value)}"
             )
-        if proven and float(value) < claimed - slack:
-            return VerificationResult(
-                ok=False,
-                schedulable=True,
-                objective=value,
-                claimed=claimed,
-                report=report,
-                message=(
-                    f"solver proved {claimed} optimal but its own deployment "
-                    f"analyzes to {float(value)}"
-                ),
-                refutes_proof=True,
-            )
+            refutes_proof = True
     return VerificationResult(
-        ok=True, schedulable=True, objective=value, claimed=claimed, report=report
+        ok=not message,
+        schedulable=value is not None,
+        objective=value,
+        claimed=claimed,
+        report=report,
+        message=message,
+        refutes_proof=refutes_proof,
     )

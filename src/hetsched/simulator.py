@@ -41,16 +41,17 @@ CPU completions and grants, in that order, and then dispatches again only
 the cores whose jobs changed state, in core order.  Only a task's oldest
 job can have started, so the others are kept as release times.
 
-:func:`validate_trace` reads each event once.  It keeps the cores each task
-was dispatched to since it last left them, so an ``offload`` or a ``finish``
-frees them without a scan over every core.
+:func:`validate_trace` reads each event once.  Dispatch is partitioned, so
+it takes the first core each task runs on as the task's home core, reports a
+``run`` on any other core, and frees only the home core on an ``offload`` or
+a ``finish``.
 """
 
 from __future__ import annotations
 
 import math
 import random
-from collections import defaultdict, deque
+from collections import deque
 from dataclasses import dataclass, field
 from typing import NamedTuple
 
@@ -294,17 +295,18 @@ def simulate(
                         choice = i
                         break
                 current = running[c]
+                # A job that holds a core is in a CPU phase, so it is ready,
+                # and every way out of that phase goes through step 3, which
+                # frees the core first.  So a core whose holder changes gets
+                # a new one, never none.
                 if current != choice:
                     if current is not None:
                         remaining[current] = done_at[c] - now
                         stop = (now, "stop", task_ids[current], core_ids[c], None, "preempt")
                         emit(new(SimEvent, stop))
-                    if choice is None:
-                        done_at[c] = inf
-                    else:
-                        run = (now, "run", task_ids[choice], core_ids[c], segment[choice], None)
-                        emit(new(SimEvent, run))
-                        done_at[c] = now + remaining[choice]
+                    run = (now, "run", task_ids[choice], core_ids[c], segment[choice], None)
+                    emit(new(SimEvent, run))
+                    done_at[c] = now + remaining[choice]
                     running[c] = choice
             dirty.clear()
             cpu_next = min(done_at)
@@ -330,10 +332,11 @@ def simulate(
 def validate_trace(events: list[SimEvent], policy: str) -> list[str]:
     """Structural checks on a trace; returns human-readable problems.
 
-    Verifies that every core runs at most one job at a time, that the
-    accelerator serves at most one request at a time under the serializing
-    policies, that every service interval is bracketed by a matching
-    request, and that every event is of a known kind.
+    Verifies that every core runs at most one job at a time, that each task
+    runs only on its home core (the first it ran on), that the accelerator
+    serves at most one request at a time under the serializing policies,
+    that every service interval is bracketed by a matching request, and
+    that every event is of a known kind.
     """
     if policy not in POLICIES:
         raise ModelError(f"unknown policy {policy!r}")
@@ -341,9 +344,7 @@ def validate_trace(events: list[SimEvent], policy: str) -> list[str]:
     problems: list[str] = []
     add = problems.append
     core_busy: dict[str, str] = {}
-    # The cores each task was dispatched to since it last offloaded or
-    # finished: a superset of the cores it holds.
-    task_cores: defaultdict[str, set[str]] = defaultdict(set)
+    home: dict[str, str] = {}  # the first core each task ran on
     device_busy: str | None = None
     requested: set[str] = set()
     last_time = 0
@@ -353,21 +354,21 @@ def validate_trace(events: list[SimEvent], policy: str) -> list[str]:
         else:
             last_time = time
         if kind == "run":
+            own = home.setdefault(task, core)
+            if own != core:
+                add(f"{task} dispatched on {core} at {time}, away from its core {own}")
             held = core_busy.get(core)
             if held is not None and held != task:
                 add(f"{core} dispatched {task} at {time} while running {held}")
             core_busy[core] = task
-            task_cores[task].add(core)
         elif kind == "release":
             pass
         elif kind == "finish" or kind == "offload":
             if kind == "offload":
                 requested.add(task)
-            cores = task_cores[task]
-            for cid in cores:
-                if core_busy.get(cid) == task:
-                    del core_busy[cid]
-            cores.clear()
+            own = home.get(task)
+            if core_busy.get(own) == task:
+                del core_busy[own]
         elif kind == "stop":
             if core_busy.get(core) != task:
                 add(f"stop without run: {task} on {core} at {time}")

@@ -16,6 +16,7 @@ from hetsched.milp.backends import (
     INFEASIBLE,
     NO_SOLUTION,
     OPTIMAL,
+    UNBOUNDED,
     ExternalBackend,
     ScipyBackend,
     get_backend,
@@ -66,6 +67,21 @@ def test_scipy_model_error_is_not_infeasible(coef, rhs):
     res = ScipyBackend().solve(m)
     assert res.status == ERROR
     assert "Model error" in res.message
+    assert not res.has_solution
+
+
+@pytest.mark.parametrize(
+    "integer, status", [(False, UNBOUNDED), (True, ERROR)], ids=["continuous", "integer"]
+)
+def test_scipy_reports_an_unbounded_model(integer, status):
+    # On an integer model HiGHS answers "unbounded or infeasible" (HiGHS
+    # status 9), which must not read as a proof of infeasibility.
+    m = MilpModel("unbounded")
+    x = m.add_var("x", lb=-math.inf, integer=integer)
+    m.add_row("cap", [(x, 1.0)], "<=", 5.0)
+    m.set_objective([(x, 1.0)])
+    res = ScipyBackend().solve(m)
+    assert res.status == status
     assert not res.has_solution
 
 
@@ -162,6 +178,20 @@ def test_parse_solution_without_objective_recomputes_it():
     res = parse_solution_file("Model status: Optimal\nx 3\ny 1\n", tiny_model())
     assert res.status == OPTIMAL
     assert res.objective == pytest.approx(5.0)  # 3 + 2*1 from the model objective
+
+
+@pytest.mark.parametrize(
+    "text, status",
+    [
+        ("Status: Optimal\nx 2\n", OPTIMAL),
+        ("Feasible\nx 2\n", FEASIBLE),
+        ("Model status: Unbounded\n", UNBOUNDED),
+        ("", NO_SOLUTION),
+    ],
+    ids=["status-line", "values-only", "unbounded", "empty"],
+)
+def test_parse_solution_file_status(text, status):
+    assert parse_solution_file(text, tiny_model()).status == status
 
 
 def test_parse_infeasible_solution_file():

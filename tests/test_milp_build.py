@@ -306,6 +306,25 @@ def test_lp_writer_refuses_a_row_without_terms():
         write_lp(m)
 
 
+def test_lp_writer_signs_and_bounds():
+    m = MilpModel("signs")
+    x = m.add_var("x")
+    y = m.add_var("y", lb=2.0)
+    m.set_objective([(x, -1.0), (y, 1.0)])
+    m.add_row("r", [(x, -1.0), (y, 3.0)], ">=", 1.0)
+    lines = write_lp(m).splitlines()
+    assert " obj: - x + y" in lines
+    assert " r: - x + 3 y >= 1" in lines
+    assert lines[lines.index("Bounds") + 1 :] == [" y >= 2", "End"]
+
+
+def test_lp_writer_refuses_a_model_without_objective():
+    m = MilpModel("aimless")
+    m.add_row("r", [(m.add_var("x"), 1.0)], "<=", 1.0)
+    with pytest.raises(ValueError, match="no objective"):
+        write_lp(m)
+
+
 def test_each_sense_becomes_row_bounds():
     m = MilpModel("senses")
     x = m.add_var("x")

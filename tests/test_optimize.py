@@ -3,12 +3,15 @@
 import json
 import subprocess
 import sys
+from collections import Counter
 from fractions import Fraction
 from pathlib import Path
 
 import pytest
 from helpers import make_instance, make_task, oracle_corpus_instance, seg_cpu, seg_opt
 
+import hetsched.bruteforce
+import hetsched.milp
 from hetsched.bruteforce import best_assignment
 from hetsched.milp import (
     INFEASIBLE,
@@ -333,6 +336,51 @@ def test_tie_break_prefers_acceleration():
     assert plain.ok and tied.ok
     assert plain.objective == tied.objective == Fraction(2, 5)
     assert tied.assignment.accelerated_of("t2") == frozenset({0})
+
+
+def _count_calls(monkeypatch, owner, name, counts):
+    original = getattr(owner, name)
+
+    def counted(*args, **kwargs):
+        counts[name] += 1
+        return original(*args, **kwargs)
+
+    monkeypatch.setattr(owner, name, counted)
+
+
+def test_optimize_reaches_the_module_attributes_the_tracer_wraps(tiny, monkeypatch):
+    # bench/timing.py times build, solve, decode and verify by swapping these
+    # attributes, so optimize must look each one up there at every call.
+    counts = Counter()
+    for owner, name in [
+        (hetsched.milp, "build_milp"),
+        (hetsched.milp, "decode_assignment"),
+        (hetsched.milp, "verify_solution"),
+        (ScipyBackend, "solve"),
+    ]:
+        _count_calls(monkeypatch, owner, name, counts)
+    assert optimize(tiny, "rr", "minmax-lat").ok
+    assert counts == {"build_milp": 1, "decode_assignment": 1, "verify_solution": 1, "solve": 1}
+
+    # A refuted proof under the tie-break: both attempts build, solve twice,
+    # decode and verify.
+    counts.clear()
+    t1 = make_task("t1", 10_000, [seg_cpu(4_000)])
+    t2 = make_task("t2", 20_000, [seg_opt(5_500, 1_000, 500, 4_000)])
+    backend = _InflatedClaimBackend(presolve_only=True)
+    res = optimize(
+        make_instance([t1, t2]), "rr", "minmax-rt", backend=backend, tie_break=MAX_ACCELERATION
+    )
+    assert res.ok and res.resolved_without_presolve
+    assert counts == {"build_milp": 2, "decode_assignment": 2, "verify_solution": 2, "solve": 4}
+
+
+def test_search_reaches_the_analysis_the_tracer_wraps(tiny, monkeypatch):
+    counts = Counter()
+    _count_calls(monkeypatch, hetsched.bruteforce, "analyze", counts)
+    ref = best_assignment(tiny, "rr", "minmax-lat")
+    assert ref.evaluated > 0
+    assert counts["analyze"] == ref.evaluated
 
 
 def test_unknown_tie_break_rejected(tiny):

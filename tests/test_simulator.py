@@ -112,11 +112,10 @@ BROKEN_TRACES = [
     ("stop without run", [SimEvent(3, "stop", "a", "c0")], "stop without run: a on c0 at 3"),
     ("unknown event kind", [SimEvent(0, "release", "a"), SimEvent(2, "teleport", "a", "c0")],
      "unknown event kind 'teleport': a at 2"),
-    # Finishing frees every core the task holds, so the last stop has no run.
-    ("one task on two cores",
-     [SimEvent(0, "run", "a", "c0"), SimEvent(1, "run", "a", "c1"), SimEvent(2, "stop", "a", "c1"),
-      SimEvent(3, "finish", "a"), SimEvent(4, "stop", "a", "c0")],
-     "stop without run: a on c0 at 4"),
+    ("one task on two cores", [SimEvent(0, "run", "a", "c0"), SimEvent(1, "run", "a", "c1")],
+     "a dispatched on c1 at 1, away from its core c0"),
+    ("service without request", [SimEvent(3, "accel_start", "x")],
+     "service without request: x at 3"),
 ]
 
 
@@ -191,11 +190,6 @@ def test_validator_flags_overlapping_service():
     ]
     problems = validate_trace(events, "npfp")
     assert any("while serving" in p for p in problems)
-
-
-def test_validator_flags_service_without_request():
-    problems = validate_trace([SimEvent(3, "accel_start", "x")], "rr")
-    assert any("without request" in p for p in problems)
 
 
 @pytest.mark.parametrize("horizon", [0, -5, 1.5, True, "100"])
