@@ -6,6 +6,7 @@ writer, backends, decoder) are importable individually.
 
 from __future__ import annotations
 
+import math
 import time
 from dataclasses import dataclass
 from fractions import Fraction
@@ -33,7 +34,7 @@ from hetsched.milp.decode import (
 )
 from hetsched.milp.ir import MilpModel
 from hetsched.milp.lpwriter import write_lp, write_lp_file
-from hetsched.model import Assignment, ProblemInstance, assignment_to_dict
+from hetsched.model import Assignment, ModelError, ProblemInstance, assignment_to_dict
 
 MAX_ACCELERATION = "max-acceleration"
 
@@ -113,9 +114,17 @@ def optimize(
     (``resolved_without_presolve``).  On small seeded instances, presolve
     occasionally cut off the optimum or every feasible point, and each such
     case seen solved right without it.
+
+    ``mip_gap`` is None or a finite number >= 0, and ``time_limit`` None or
+    a number >= 0 (``inf`` is no limit); any other value, like an unknown
+    ``tie_break``, raises :class:`~hetsched.model.ModelError`.
     """
     if tie_break not in (None, MAX_ACCELERATION):
-        raise ValueError(f"unknown tie_break {tie_break!r}")
+        raise ModelError(f"unknown tie_break {tie_break!r}")
+    if mip_gap is not None and not 0 <= mip_gap < math.inf:
+        raise ModelError(f"mip_gap must be a finite number >= 0, not {mip_gap!r}")
+    if time_limit is not None and not time_limit >= 0:
+        raise ModelError(f"time_limit must be a number >= 0, not {time_limit!r}")
     start = time.perf_counter()
     model = build_milp(inst, policy, objective)
     stats = model.stats()

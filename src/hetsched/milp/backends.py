@@ -3,8 +3,13 @@
 ``ScipyBackend`` runs HiGHS in-process through :func:`scipy.optimize.milp`
 and is the default.  ``ExternalBackend`` shells out to any command-line
 solver that reads CPLEX-LP files: the command template receives the LP path,
-a solution path, and the time limit, and the solution file may be CPLEX-style
-XML or plain ``name value`` lines (HiGHS and CBC output both parse).
+a solution path, and the time limit.  The solution file may be CPLEX XML,
+HiGHS's raw ``--solution_file`` format, CBC's solution file, or plain
+``name value`` lines under a ``Status:`` line.  Reading stops at HiGHS's
+dual-values and basis sections, whose rows reuse the column names.  A status
+of "infeasible or unbounded" (HiGHS's "Primal infeasible or unbounded",
+CPLEX's "integer infeasible or unbounded") is ``error``, as ``ScipyBackend``
+reports it, never ``infeasible``; so is a solution file that cannot be read.
 
 ``ScipyBackend`` switches off HiGHS's feasibility-jump heuristic (Luteberget
 & Sartor, "Feasibility Jump: an LP-free Lagrangian MIP heuristic", Math.
@@ -65,6 +70,12 @@ ERROR = "error"
 # alike; the HiGHS model status is only in its message.
 _HIGHS_STATUS = re.compile(r"\(HiGHS Status (\d+):")
 _HIGHS_INFEASIBLE = 8  # HighsModelStatus.kInfeasible
+
+# Plain-text solution files: "Status: Optimal", "Model status: Optimal" or
+# HiGHS's bare "Model status" header; CBC's "Optimal - objective value 3".
+_STATUS_LINE = re.compile(r"(?:model\s+)?status\b:?\s*(.*)", re.IGNORECASE)
+_CBC_STATUS = re.compile(r"(.+?)\s+-\s+objective value\s+(\S+)", re.IGNORECASE)
+_WORDS = re.compile(r"[a-z][a-z ,]*", re.IGNORECASE)
 
 
 @dataclass
@@ -174,14 +185,6 @@ class ScipyBackend:
         )
 
 
-def _looks_like_float(tok: str) -> bool:
-    try:
-        float(tok)
-        return True
-    except ValueError:
-        return False
-
-
 def _parse_xml_solution(text: str, known: set[str]):
     root = ET.fromstring(text)
     status = None
@@ -200,71 +203,57 @@ def _parse_xml_solution(text: str, known: set[str]):
     return status, objective, values
 
 
-def _parse_plain_solution(text: str, known: set[str]):
-    status = None
-    objective = None
+def _parse_text_solution(text: str, known: set[str]):
+    """Status, objective and values of a plain-text solution file, in one pass."""
+    status = objective = None
     values: dict[str, float] = {}
-    expect_status = False
+    status_next = False  # HiGHS writes "Model status" and the status below it
     for raw in text.splitlines():
         line = raw.strip()
-        if not line:
-            continue
         low = line.lower()
-        if line.startswith(("#", "*", "\\")):
-            if "basis" in low:
-                break  # HiGHS basis section reuses "name value" lines for codes
+        if low.startswith(("# dual", "# basis")):
+            break  # HiGHS's dual values and basis codes reuse the "name value" rows
+        if not line or line.startswith(("#", "*", "\\")):
             continue
-        if expect_status:
-            status = line
-            expect_status = False
-            continue
-        if low == "model status":
-            expect_status = True  # HiGHS raw format: status is on the next line
-            continue
-        if low.startswith("model status:"):
-            status = line.split(":", 1)[1].strip()
-            continue
-        if low.startswith("status"):
-            parts = line.replace(":", " ").split(None, 1)
-            if len(parts) == 2:
-                status = parts[1].strip()
-            continue
-        if low.startswith("objective"):
-            toks = line.replace(":", " ").split()
-            if len(toks) >= 2 and _looks_like_float(toks[-1]):
+        toks = line.replace(":", " ").split()
+        try:
+            if status_next:
+                status, status_next = line, False
+            elif found := _STATUS_LINE.fullmatch(line):
+                if status is None:
+                    status = found.group(1) or None
+                    status_next = status is None
+            elif low.startswith("objective"):
                 objective = float(toks[-1])
+            elif found := _CBC_STATUS.fullmatch(line):
+                status = status or found.group(1)
+                objective = float(found.group(2))
+            elif toks[0] in known:
+                values[toks[0]] = float(toks[1])
+            elif _WORDS.fullmatch(line):
+                status = status or line  # a bare status such as "Feasible"
+            elif toks[1] in known:
+                values[toks[1]] = float(toks[2])  # CBC: "<index> <name> <value> <reduced cost>"
+        except (IndexError, ValueError):
             continue
-        if low.startswith(("optimal", "infeasible", "unbounded", "integer")):
-            status = line
-            toks = line.split()
-            if "objective" in low and _looks_like_float(toks[-1]):
-                objective = float(toks[-1])
-            continue
-        if low.startswith("feasible"):
-            # Section marker in HiGHS files; never downgrade a known status.
-            if status is None:
-                status = line
-            continue
-        toks = line.split()
-        if len(toks) >= 2 and toks[0] in known and _looks_like_float(toks[1]):
-            values[toks[0]] = float(toks[1])
-        elif len(toks) >= 3 and toks[1] in known and _looks_like_float(toks[2]):
-            # CBC writes "<index> <name> <value> <reduced cost>".
-            values[toks[1]] = float(toks[2])
     return status, objective, values
 
 
 def parse_solution_file(text: str, model: MilpModel) -> SolveResult:
     """Interpret an external solver's solution file against a model."""
     known = set(model.col_names)
-    stripped = text.lstrip()
-    if stripped.startswith("<?xml") or stripped.startswith("<CPLEXSolution"):
-        status_text, objective, values = _parse_xml_solution(text, known)
+    if text.lstrip().startswith(("<?xml", "<CPLEXSolution")):
+        try:
+            status_text, objective, values = _parse_xml_solution(text, known)
+        except (ET.ParseError, ValueError) as exc:
+            return SolveResult(status=ERROR, message=f"unreadable solution file: {exc}")
     else:
-        status_text, objective, values = _parse_plain_solution(text, known)
+        status_text, objective, values = _parse_text_solution(text, known)
 
     low = (status_text or "").lower()
-    if "infeasible" in low:
+    if "infeasible or unbounded" in low:
+        status = ERROR  # undecided, as ScipyBackend reports HiGHS's status 9
+    elif "infeasible" in low:
         status = INFEASIBLE
     elif "unbounded" in low:
         status = UNBOUNDED
@@ -309,7 +298,8 @@ class ExternalBackend:
         time_limit: float | None = None,
         mip_gap: float | None = 0.0,
     ) -> SolveResult:
-        seconds = 86_400 if time_limit is None else max(1, math.ceil(time_limit))
+        no_limit = time_limit is None or math.isinf(time_limit)
+        seconds = 86_400 if no_limit else max(1, math.ceil(time_limit))
         start = time.perf_counter()
         with tempfile.TemporaryDirectory(prefix="hetsched_milp_") as tmp:
             lp_path = os.path.join(tmp, "model.lp")

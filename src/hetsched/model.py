@@ -192,6 +192,11 @@ class Violation:
 # ---------------------------------------------------------------------------
 
 
+def _whole(v) -> bool:
+    """An ``int`` and not a ``bool``: the only time values the routes take."""
+    return isinstance(v, int) and not isinstance(v, bool)
+
+
 def _check_wcet_table(
     table: Mapping[str, int], core_types: Iterable[str], path: str, out: list[Violation]
 ):
@@ -199,7 +204,7 @@ def _check_wcet_table(
     for k, v in table.items():
         if k not in types:
             out.append(Violation(f"{path}.{k}", f"unknown core type {k!r}"))
-        if not isinstance(v, int) or isinstance(v, bool) or v < 0:
+        if not _whole(v) or v < 0:
             out.append(Violation(f"{path}.{k}", "WCET must be a non-negative integer"))
     missing = types - set(table)
     for k in sorted(missing):
@@ -252,9 +257,13 @@ def structural_violations(inst: ProblemInstance) -> list[Violation]:
         if task.id in seen_tasks:
             out.append(Violation(tpath, f"duplicate task id {task.id!r}"))
         seen_tasks.add(task.id)
-        if task.period_us <= 0:
+        if not _whole(task.period_us):
+            out.append(Violation(f"{tpath}.period_us", "period must be an integer"))
+        elif task.period_us <= 0:
             out.append(Violation(f"{tpath}.period_us", "period must be positive"))
-        if not (0 < task.deadline_us <= task.period_us):
+        if not _whole(task.deadline_us):
+            out.append(Violation(f"{tpath}.deadline_us", "deadline must be an integer"))
+        elif not (0 < task.deadline_us <= task.period_us):
             out.append(
                 Violation(
                     f"{tpath}.deadline_us",
@@ -280,7 +289,7 @@ def structural_violations(inst: ProblemInstance) -> list[Violation]:
                     )
                 _check_wcet_table(seg.offload_us, plat.core_types, f"{spath}.offload_us", out)
                 _check_wcet_table(seg.finalize_us, plat.core_types, f"{spath}.finalize_us", out)
-                if seg.accel_us is None or seg.accel_us < 0:
+                if not _whole(seg.accel_us) or seg.accel_us < 0:
                     out.append(
                         Violation(f"{spath}.accel_us", "accelerated WCET must be a non-negative integer")
                     )

@@ -23,6 +23,7 @@ from hetsched.milp.backends import (
     parse_solution_file,
 )
 from hetsched.milp.ir import MilpModel
+from hetsched.milp.lpwriter import write_lp_file
 from hetsched.model import ModelError, builtin_waters
 
 
@@ -187,8 +188,14 @@ def test_parse_solution_without_objective_recomputes_it():
         ("Feasible\nx 2\n", FEASIBLE),
         ("Model status: Unbounded\n", UNBOUNDED),
         ("", NO_SOLUTION),
+        (
+            '<?xml version="1.0"?><CPLEXSolution><header'
+            ' solutionStatusString="integer infeasible or unbounded"/></CPLEXSolution>',
+            ERROR,
+        ),
+        ('<?xml version="1.0"?><CPLEXSolution><header', ERROR),
     ],
-    ids=["status-line", "values-only", "unbounded", "empty"],
+    ids=["status-line", "values-only", "unbounded", "empty", "undecided-xml", "truncated-xml"],
 )
 def test_parse_solution_file_status(text, status):
     assert parse_solution_file(text, tiny_model()).status == status
@@ -198,6 +205,89 @@ def test_parse_infeasible_solution_file():
     res = parse_solution_file("Model status: Infeasible\n", tiny_model())
     assert res.status == INFEASIBLE
     assert not res.has_solution
+
+
+def test_truncated_solution_file_reports_the_parse_error():
+    res = parse_solution_file('<?xml version="1.0"?><CPLEXSolution><header', tiny_model())
+    assert res.status == ERROR
+    assert res.message.startswith("unreadable solution file:")
+
+
+try:
+    from scipy.optimize._highspy._core import _Highs
+except ImportError:  # a private binding; other scipy builds may lack it
+    _Highs = None
+
+
+def continuous_tiny_model():
+    """``tiny_model()`` with ``x`` continuous: the one optimum x = 2.5, y = 0."""
+    m = tiny_model()
+    m.integer[m.var("x")] = False
+    return m
+
+
+def infeasible_tiny_model():
+    m = tiny_model()
+    m.add_row("cap", [(m.var("x"), 1.0), (m.var("y"), 1.0)], "<=", 1.0)
+    return m
+
+
+def unbounded_model(integer):
+    """min -x  s.t.  x + y >= 5."""
+    m = MilpModel("unbounded")
+    x = m.add_var("x", lb=0.0, integer=integer)
+    y = m.add_var("y", lb=0.0)
+    m.add_row("cover", [(x, 1.0), (y, 1.0)], ">=", 5.0)
+    m.set_objective([(x, -1.0)])
+    return m
+
+
+HIGHS_MODELS = {
+    "tiny": tiny_model,
+    "tiny-continuous": continuous_tiny_model,
+    "infeasible": infeasible_tiny_model,
+    "unbounded-integer": lambda: unbounded_model(True),
+    "unbounded-continuous": lambda: unbounded_model(False),
+}
+
+
+def highs_solution_file(model, presolve, tmp_path):
+    """The solution file HiGHS writes (its raw ``--solution_file`` format)
+    after solving ``model`` read back from an LP file."""
+    lp, sol = tmp_path / "model.lp", tmp_path / "model.sol"
+    write_lp_file(model, str(lp))
+    highs = _Highs()
+    highs.setOptionValue("output_flag", False)
+    highs.setOptionValue("presolve", "on" if presolve else "off")
+    highs.readModel(str(lp))
+    highs.run()
+    highs.writeSolution(str(sol), 0)
+    return sol.read_text()
+
+
+needs_highs = pytest.mark.skipif(_Highs is None, reason="scipy's HiGHS binding is missing")
+
+
+@needs_highs
+@pytest.mark.parametrize("presolve", [True, False], ids=["presolve", "no-presolve"])
+@pytest.mark.parametrize("name", list(HIGHS_MODELS))
+def test_highs_solution_file_reads_as_scipy_solves(tmp_path, name, presolve):
+    # HiGHS writes "Primal infeasible or unbounded" for an undecided integer
+    # model, and its dual section of an unbounded LP says "Infeasible".
+    model = HIGHS_MODELS[name]()
+    res = parse_solution_file(highs_solution_file(model, presolve, tmp_path), model)
+    assert res.status == ScipyBackend().solve(model, presolve=presolve).status
+
+
+@needs_highs
+@pytest.mark.parametrize("presolve", [True, False], ids=["presolve", "no-presolve"])
+def test_highs_solution_file_gives_primal_values(tmp_path, presolve):
+    # The dual section that follows lists reduced costs under the same names.
+    model = continuous_tiny_model()
+    res = parse_solution_file(highs_solution_file(model, presolve, tmp_path), model)
+    assert res.status == OPTIMAL
+    assert res.objective == pytest.approx(2.5)
+    assert res.values == {"x": 2.5, "y": 0.0}
 
 
 FAKE_SOLVER = """\

@@ -192,6 +192,47 @@ def test_optimize_solver_failure_is_not_infeasible(capsys, duo_files):
     assert json.loads(out)["status"] == "error"
 
 
+@pytest.mark.parametrize(
+    "solution",
+    ["Model status\nPrimal infeasible or unbounded\n", '<?xml version="1.0"?><CPLEXSolution><header'],
+    ids=["undecided", "truncated"],
+)
+def test_optimize_undecided_or_unreadable_answer_is_an_error(capsys, tmp_path, duo_files, solution):
+    # Neither file proves that no deployment exists, so the exit code is 1.
+    inst, _ = duo_files
+    script = tmp_path / "solver.py"
+    script.write_text(f"import sys\nopen(sys.argv[1], 'w').write({solution!r})\n")
+    code, out, _ = run(
+        capsys,
+        "optimize",
+        "--instance", inst,
+        "--policy", "rr",
+        "--objective", "minmax-lat",
+        "--backend", f"{sys.executable} {script} {{sol}} {{lp}}",
+    )
+    assert code == 1
+    assert json.loads(out)["status"] == "error"
+
+
+def test_optimize_passes_an_infinite_time_limit_as_no_limit(capsys, duo_files):
+    # The command reports the {timeout} it was given and writes no solution.
+    inst, _ = duo_files
+    report = f"{sys.executable} -c 'import sys; sys.stderr.write(sys.argv[1])' {{timeout}} {{lp}}"
+    code, out, _ = run(
+        capsys,
+        "optimize",
+        "--instance", inst,
+        "--policy", "rr",
+        "--objective", "minmax-lat",
+        "--time-limit", "inf",
+        "--backend", report,
+    )
+    assert code == 1
+    doc = json.loads(out)
+    assert doc["status"] == "error"
+    assert doc["message"].endswith("solver said: 86400")
+
+
 @pytest.mark.parametrize("index", [16, 110])
 def test_optimize_stdout_is_clean_json(capsys, tmp_path, index):
     # HiGHS writes to the stdout file descriptor directly, past capsys, so run
@@ -365,6 +406,11 @@ MALFORMED = [
     ("scale is not a number", None, None, ["--scale", "abc"]),
     ("horizon is zero", None, None, ["--horizon", "0"]),
     ("horizon is negative", None, None, ["--horizon", "-5"]),
+    ("gap is negative", None, None, ["--mip-gap", "-1"]),
+    ("gap is nan", None, None, ["--mip-gap", "nan"]),
+    ("time limit is negative", None, None, ["--time-limit", "-1"]),
+    ("time limit is nan", None, None, ["--time-limit", "nan"]),
+    ("time limit is nan for a command", None, None, ["--time-limit", "nan", "--backend", "false {lp}"]),
 ] + [
     (f"{path} is {value!r}", inst_text, asg_text, [])
     for path, value, inst_text, asg_text in NON_STRING_IDS
@@ -385,11 +431,15 @@ def test_malformed_documents_and_flags_are_clean_errors(
         asg = tmp_path / "bad_assignment.json"
         asg.write_text(asg_text)
     deployment = ["--instance", str(inst), "--assignment", str(asg), "--policy", "rr"]
-    commands = [["simulate", *deployment]]
-    if "--horizon" not in flags:  # the one flag only ``simulate`` takes
-        commands.append(["analyze", *deployment])
-        if asg_text is None:
-            commands.append(["validate", "--instance", str(inst)])
+    if flags[:1] in (["--mip-gap"], ["--time-limit"]):  # flags only ``optimize`` takes
+        commands = [["optimize", "--instance", str(inst), "--policy", "rr",
+                     "--objective", "minmax-lat"]]
+    else:
+        commands = [["simulate", *deployment]]
+        if "--horizon" not in flags:  # the one flag only ``simulate`` takes
+            commands.append(["analyze", *deployment])
+            if asg_text is None:
+                commands.append(["validate", "--instance", str(inst)])
     for argv in commands:
         code, out, err = run(capsys, *argv, *flags)
         assert code == 1, argv

@@ -172,6 +172,18 @@ STRUCTURAL_FAULTS = [
      "tasks[1].segments[0].accel_us", "accelerated WCET must be a non-negative integer"),
     ("negative accel_us", lambda i: _with_segment(i, 1, accel_us=-1),
      "tasks[1].segments[0].accel_us", "accelerated WCET must be a non-negative integer"),
+    ("fractional accel_us", lambda i: _with_segment(i, 1, accel_us=100.5),
+     "tasks[1].segments[0].accel_us", "accelerated WCET must be a non-negative integer"),
+    ("boolean accel_us", lambda i: _with_segment(i, 1, accel_us=True),
+     "tasks[1].segments[0].accel_us", "accelerated WCET must be a non-negative integer"),
+    ("fractional period", lambda i: _with_task(i, 0, period_us=10_000.5),
+     "tasks[0].period_us", "period must be an integer"),
+    ("boolean period", lambda i: _with_task(i, 0, period_us=True, deadline_us=1),
+     "tasks[0].period_us", "period must be an integer"),
+    ("fractional deadline", lambda i: _with_task(i, 0, deadline_us=9_999.5),
+     "tasks[0].deadline_us", "deadline must be an integer"),
+    ("boolean deadline", lambda i: _with_task(i, 0, deadline_us=True),
+     "tasks[0].deadline_us", "deadline must be an integer"),
     ("duplicate chain id", lambda i: replace(i, chains=i.chains * 2),
      "chains[1]", "duplicate chain id 'ch'"),
     ("empty chain", lambda i: replace(i, chains=(ChainSpec(id="ch", tasks=()),)),

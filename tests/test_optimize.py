@@ -1,6 +1,7 @@
 """End-to-end deployment optimization on small instances."""
 
 import json
+import math
 import subprocess
 import sys
 from collections import Counter
@@ -386,6 +387,38 @@ def test_search_reaches_the_analysis_the_tracer_wraps(tiny, monkeypatch):
 def test_unknown_tie_break_rejected(tiny):
     with pytest.raises(ValueError, match="tie_break"):
         optimize(tiny, "rr", "minmax-rt", tie_break="most-idle")
+
+
+@pytest.mark.parametrize(
+    "options, message",
+    [
+        ({"tie_break": "most-idle"}, "tie_break"),
+        ({"mip_gap": -1}, "mip_gap"),
+        ({"mip_gap": math.nan}, "mip_gap"),
+        ({"mip_gap": math.inf}, "mip_gap"),
+        ({"time_limit": -1}, "time_limit"),
+        ({"time_limit": math.nan}, "time_limit"),
+        ({"time_limit": math.nan, "backend": "false {lp}"}, "time_limit"),
+    ],
+    ids=[
+        "unknown tie_break",
+        "negative gap",
+        "nan gap",
+        "infinite gap",
+        "negative time limit",
+        "nan time limit",
+        "nan time limit with a command",
+    ],
+)
+def test_invalid_options_are_model_errors(tiny, options, message):
+    # HiGHS would warn about a negative gap and solve with its default one,
+    # and ignore a negative time limit.
+    with pytest.raises(ModelError, match=message):
+        optimize(tiny, "rr", "minmax-rt", **options)
+
+
+def test_infinite_time_limit_is_no_limit(tiny):
+    assert optimize(tiny, "rr", "minmax-rt", time_limit=math.inf).ok
 
 
 def test_emit_lp_writes_the_model(tiny, tmp_path):
