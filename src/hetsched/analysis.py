@@ -134,12 +134,13 @@ def map_to_self_suspending(
 
 
 def min_cpu_wcet(inst: ProblemInstance, task: TaskSpec) -> int:
-    """Smallest CPU-side WCET over all cores and legal acceleration choices."""
-    totals = [
-        sum(min(seg.cpu_costs(ct)) for seg in task.segments) for ct in inst.platform.core_types
-    ]
+    """Smallest CPU-side WCET over the types of the platform's cores and the
+    legal acceleration choices.  A declared type that no core has is left out,
+    because no task runs on it."""
+    types = {c.type for c in inst.platform.cores}
+    totals = [sum(min(seg.cpu_costs(ct)) for seg in task.segments) for ct in types]
     if not totals:
-        raise ModelError("platform declares no core types")
+        raise ModelError("platform has no cores")
     return min(totals)
 
 

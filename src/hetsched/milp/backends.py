@@ -35,7 +35,11 @@ HiGHS writes some diagnostics (``transformNewIntegerFeasibleSolution``) to
 file descriptor 1 even with its log off, so ``ScipyBackend`` points
 descriptor 1 at descriptor 2 around the ``milp`` call, at about 2 µs a
 solve: every caller, not only the command line, keeps standard output for
-its own results.
+its own results.  Switching HiGHS's ``output_flag`` off does not replace the
+redirect: with ``"output_flag": False`` passed and the redirect removed,
+``HighsMipSolverData::transformNewIntegerFeasibleSolution tmpSolver.run();``
+still reaches standard output on ``tests/data/solver_noise.json`` (scipy
+1.17.1, HiGHS 1.12.0).
 """
 
 from __future__ import annotations
@@ -283,6 +287,9 @@ class ExternalBackend:
 
         highs --solution_file {sol} --time_limit {timeout} {lp}
         cbc {lp} sec {timeout} solve solution {sol}
+
+    A template that names any other field or that ``shlex`` cannot split
+    raises :class:`~hetsched.model.ModelError` when the backend is made.
     """
 
     def __init__(self, command: str | None = None):
@@ -291,6 +298,13 @@ class ExternalBackend:
             raise ModelError(
                 f"external backend needs a command template (set {ENV_SOLVER_CMD})"
             )
+        try:
+            self._argv("model.lp", "model.sol", 1)
+        except (KeyError, IndexError, AttributeError, ValueError) as exc:
+            raise ModelError(f"bad solver command template {self.command!r}: {exc}") from None
+
+    def _argv(self, lp: str, sol: str, timeout: int) -> list[str]:
+        return shlex.split(self.command.format(lp=lp, sol=sol, timeout=timeout))
 
     def solve(
         self,
@@ -305,10 +319,9 @@ class ExternalBackend:
             lp_path = os.path.join(tmp, "model.lp")
             sol_path = os.path.join(tmp, "model.sol")
             write_lp_file(model, lp_path)
-            cmd = shlex.split(self.command.format(lp=lp_path, sol=sol_path, timeout=seconds))
             try:
                 proc = subprocess.run(
-                    cmd,
+                    self._argv(lp_path, sol_path, seconds),
                     capture_output=True,
                     text=True,
                     timeout=seconds + 60,
@@ -323,8 +336,14 @@ class ExternalBackend:
                     runtime_s=elapsed,
                     message="no solution file; solver said: " + " | ".join(tail),
                 )
-            with open(sol_path, "r", encoding="utf-8") as fh:
-                result = parse_solution_file(fh.read(), model)
+            try:
+                with open(sol_path, "r", encoding="utf-8") as fh:
+                    text = fh.read()
+            except UnicodeDecodeError as exc:
+                return SolveResult(
+                    status=ERROR, runtime_s=elapsed, message=f"unreadable solution file: {exc}"
+                )
+        result = parse_solution_file(text, model)
         result.runtime_s = elapsed
         return result
 

@@ -114,7 +114,7 @@ from hetsched.analysis import (
     CompiledInstance,
 )
 from hetsched.milp.ir import MilpModel
-from hetsched.model import ImplType, ModelError, ProblemInstance
+from hetsched.model import ModelError, ProblemInstance
 
 
 # Criterion 8's limit on every coefficient, variable bound and right-hand side
@@ -248,33 +248,24 @@ def build_milp(inst: ProblemInstance, policy: str, objective: str) -> MilpModel:
     # ------------------------------------------------------------- variables
     x = [[model.add_binary(f"x_t{i}_k{k}") for k in range(m)] for i in range(n)]
 
+    pairs = [(i, s) for i in range(n) for s in range(n) if s != i]  # ordered task pairs
     spk: dict[tuple[int, int, int], int] = {}
     sp: dict[tuple[int, int], int] = {}
-    for i in range(n):
-        for s in range(n):
-            if s == i:
-                continue
-            for k in range(m):
-                spk[i, s, k] = model.add_binary(f"spk_t{i}_t{s}_k{k}")
-            sp[i, s] = model.add_var(f"sp_t{i}_t{s}", lb=0.0, ub=1.0)
+    for i, s in pairs:
+        for k in range(m):
+            spk[i, s, k] = model.add_binary(f"spk_t{i}_t{s}_k{k}")
+        sp[i, s] = model.add_var(f"sp_t{i}_t{s}", lb=0.0, ub=1.0)
 
-    hp: dict[tuple[int, int], int] = {}
-    for i in range(n):
-        for s in range(n):
-            if s != i:
-                hp[i, s] = model.add_binary(f"hp_t{i}_t{s}")
+    hp = {(i, s): model.add_binary(f"hp_t{i}_t{s}") for i, s in pairs}
 
-    a: list[list[int]] = []
-    for i, t in enumerate(tasks):
-        row = []
-        for j, seg in enumerate(t.segments):
-            if seg.impl is ImplType.CPU:
-                row.append(model.add_binary(f"a_t{i}_j{j}", ub=0.0))
-            elif seg.impl is ImplType.HWA:
-                row.append(model.add_binary(f"a_t{i}_j{j}", lb=1.0))
-            else:
-                row.append(model.add_binary(f"a_t{i}_j{j}"))
-        a.append(row)
+    # Fixed to 1 for an accelerator-only segment and to 0 for a CPU-only one.
+    a = [
+        [
+            model.add_binary(f"a_t{i}_j{j}", lb=j in ci.forced[i], ub=j in acc_idx[i])
+            for j in range(len(t.segments))
+        ]
+        for i, t in enumerate(tasks)
+    ]
 
     eseg = [
         [model.add_var(f"eseg_t{i}_j{j}", ub=float(seg_cap[i][j])) for j in range(len(t.segments))]
@@ -282,11 +273,7 @@ def build_milp(inst: ProblemInstance, policy: str, objective: str) -> MilpModel:
     ]
     e = [model.add_var(f"e_t{i}", ub=float(cmax[i])) for i in range(n)]
 
-    I: dict[tuple[int, int], int] = {}
-    for i in range(n):
-        for s in range(n):
-            if s != i:
-                I[i, s] = model.add_var(f"I_t{i}_t{s}", ub=float(cmax[i]))
+    I = {(i, s): model.add_var(f"I_t{i}_t{s}", ub=float(cmax[i])) for i, s in pairs}
 
     rho = [
         [model.add_var(f"rho_t{i}_g{g}", ub=float(rc)) for g, rc in enumerate(rho_cap[i])]
@@ -339,26 +326,23 @@ def build_milp(inst: ProblemInstance, policy: str, objective: str) -> MilpModel:
     for i in range(n):
         model.add_row(f"c1_t{i}", [(x[i][k], 1.0) for k in range(m)], "==", 1.0)
 
-    for i in range(n):
-        for s in range(n):
-            if s == i:
-                continue
-            for k in range(m):
-                v = spk[i, s, k]
-                model.add_row(
-                    f"c2a_t{i}_t{s}_k{k}",
-                    [(v, 1.0), (x[i][k], -1.0), (x[s][k], -1.0)],
-                    ">=",
-                    -1.0,
-                )
-                model.add_row(f"c2b_t{i}_t{s}_k{k}", [(v, 1.0), (x[i][k], -1.0)], "<=", 0.0)
-                model.add_row(f"c2c_t{i}_t{s}_k{k}", [(v, 1.0), (x[s][k], -1.0)], "<=", 0.0)
+    for i, s in pairs:
+        for k in range(m):
+            v = spk[i, s, k]
             model.add_row(
-                f"c2d_t{i}_t{s}",
-                [(sp[i, s], 1.0)] + [(spk[i, s, k], -1.0) for k in range(m)],
-                "==",
-                0.0,
+                f"c2a_t{i}_t{s}_k{k}",
+                [(v, 1.0), (x[i][k], -1.0), (x[s][k], -1.0)],
+                ">=",
+                -1.0,
             )
+            model.add_row(f"c2b_t{i}_t{s}_k{k}", [(v, 1.0), (x[i][k], -1.0)], "<=", 0.0)
+            model.add_row(f"c2c_t{i}_t{s}_k{k}", [(v, 1.0), (x[s][k], -1.0)], "<=", 0.0)
+        model.add_row(
+            f"c2d_t{i}_t{s}",
+            [(sp[i, s], 1.0)] + [(spk[i, s, k], -1.0) for k in range(m)],
+            "==",
+            0.0,
+        )
 
     # ------------------------------------------------------------ priorities
     # hp is a strict linear order: one direction per pair (c5) and no cycle
@@ -411,25 +395,22 @@ def build_milp(inst: ProblemInstance, policy: str, objective: str) -> MilpModel:
         )
 
     # ------------------------------------------------------- CPU interference
-    for i in range(n):
-        for s in range(n):
-            if s == i:
-                continue
-            cap = float(cmax[i])
-            # I[i,s] >= e_i - M*(2 - hp[i,s] - sp[i,s])
-            model.add_row(
-                f"c10_t{i}_t{s}",
-                [(I[i, s], 1.0), (e[i], -1.0), (hp[i, s], -cap), (sp[i, s], -cap)],
-                ">=",
-                -2.0 * cap,
-            )
-            # I[i,s] >= emin_i * (hp[i,s] + sp[i,s] - 1)
-            model.add_row(
-                f"c10m_t{i}_t{s}",
-                [(I[i, s], 1.0), (hp[i, s], -float(emin[i])), (sp[i, s], -float(emin[i]))],
-                ">=",
-                -float(emin[i]),
-            )
+    for i, s in pairs:
+        cap = float(cmax[i])
+        # I[i,s] >= e_i - M*(2 - hp[i,s] - sp[i,s])
+        model.add_row(
+            f"c10_t{i}_t{s}",
+            [(I[i, s], 1.0), (e[i], -1.0), (hp[i, s], -cap), (sp[i, s], -cap)],
+            ">=",
+            -2.0 * cap,
+        )
+        # I[i,s] >= emin_i * (hp[i,s] + sp[i,s] - 1)
+        model.add_row(
+            f"c10m_t{i}_t{s}",
+            [(I[i, s], 1.0), (hp[i, s], -float(emin[i])), (sp[i, s], -float(emin[i]))],
+            ">=",
+            -float(emin[i]),
+        )
 
     # ----------------------------------------------- checkpointed WCRT test
     for i in range(n):

@@ -14,7 +14,7 @@ from __future__ import annotations
 import enum
 import json
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from fractions import Fraction
 from functools import cached_property
 from typing import TYPE_CHECKING, Iterable, Mapping
@@ -251,6 +251,8 @@ def structural_violations(inst: ProblemInstance) -> list[Violation]:
                 Violation(f"platform.cores[{idx}].type", f"undeclared core type {core.type!r}")
             )
 
+    if not inst.tasks:
+        out.append(Violation("tasks", "at least one task required"))
     seen_tasks: set[str] = set()
     for ti, task in enumerate(inst.tasks):
         tpath = f"tasks[{ti}]"
@@ -274,15 +276,13 @@ def structural_violations(inst: ProblemInstance) -> list[Violation]:
             out.append(Violation(f"{tpath}.segments", "task needs at least one segment"))
         for si, seg in enumerate(task.segments):
             spath = f"{tpath}.segments[{si}]"
-            needs_cpu = seg.impl in (ImplType.CPU, ImplType.CPU_HWA)
-            needs_acc = seg.impl.may_accelerate
-            if needs_cpu:
+            if not seg.impl.must_accelerate:
                 _check_wcet_table(seg.exec_us, plat.core_types, f"{spath}.exec_us", out)
             elif seg.exec_us:
                 out.append(
                     Violation(f"{spath}.exec_us", "accelerator-only segment cannot have exec_us")
                 )
-            if needs_acc:
+            if seg.impl.may_accelerate:
                 if not plat.accelerator:
                     out.append(
                         Violation(spath, "platform has no accelerator but segment may use one")
@@ -457,7 +457,7 @@ def instance_from_dict(doc: dict) -> ProblemInstance:
 def instance_to_dict(inst: ProblemInstance) -> dict:
     def seg_dict(s: SegmentSpec) -> dict:
         d: dict = {"impl": s.impl.value}
-        if s.impl in (ImplType.CPU, ImplType.CPU_HWA):
+        if not s.impl.must_accelerate:
             d["exec_us"] = dict(s.exec_us)
         if s.impl.may_accelerate:
             d["offload_us"] = dict(s.offload_us)
@@ -565,28 +565,17 @@ def scale_wcets(inst: ProblemInstance, factor) -> ProblemInstance:
     def scale_table(tab: Mapping[str, int]) -> dict[str, int]:
         return {k: scale(v) for k, v in tab.items()}
 
-    tasks = []
-    for t in inst.tasks:
-        segs = []
-        for s in t.segments:
-            segs.append(
-                SegmentSpec(
-                    impl=s.impl,
-                    exec_us=scale_table(s.exec_us),
-                    offload_us=scale_table(s.offload_us),
-                    finalize_us=scale_table(s.finalize_us),
-                    accel_us=None if s.accel_us is None else scale(s.accel_us),
-                )
-            )
-        tasks.append(
-            TaskSpec(
-                id=t.id,
-                period_us=t.period_us,
-                deadline_us=t.deadline_us,
-                segments=tuple(segs),
-            )
+    def scale_segment(s: SegmentSpec) -> SegmentSpec:
+        return replace(
+            s,
+            exec_us=scale_table(s.exec_us),
+            offload_us=scale_table(s.offload_us),
+            finalize_us=scale_table(s.finalize_us),
+            accel_us=None if s.accel_us is None else scale(s.accel_us),
         )
-    return ProblemInstance(platform=inst.platform, tasks=tuple(tasks), chains=inst.chains)
+
+    tasks = [replace(t, segments=tuple(map(scale_segment, t.segments))) for t in inst.tasks]
+    return replace(inst, tasks=tuple(tasks))
 
 
 # ---------------------------------------------------------------------------
@@ -663,26 +652,14 @@ def builtin_waters() -> ProblemInstance:
 
     tasks = []
     for tid, period, exec_us, acc_us, gpu_us, impl in _WATERS_TASKS:
-        if impl is ImplType.CPU:
-            seg = SegmentSpec(impl=impl, exec_us=exec_us)
-        elif impl is ImplType.HWA:
-            seg = SegmentSpec(
-                impl=impl,
-                offload_us=acc_us,
-                finalize_us={A57: 0, DENVER: 0},
-                accel_us=gpu_us,
-            )
-        else:
-            seg = SegmentSpec(
-                impl=impl,
-                exec_us=exec_us,
-                offload_us=acc_us,
-                finalize_us={A57: 0, DENVER: 0},
-                accel_us=gpu_us,
-            )
-        tasks.append(
-            TaskSpec(id=tid, period_us=period, deadline_us=period, segments=(seg,))
+        seg = SegmentSpec(
+            impl=impl,
+            exec_us=exec_us or {},
+            offload_us=acc_us or {},
+            finalize_us=dict.fromkeys(acc_us or (), 0),
+            accel_us=gpu_us,
         )
+        tasks.append(TaskSpec(id=tid, period_us=period, deadline_us=period, segments=(seg,)))
 
     chains = tuple(ChainSpec(id=cid, tasks=tuple(ts)) for cid, ts in _WATERS_CHAINS)
     return ProblemInstance(platform=platform, tasks=tuple(tasks), chains=chains)

@@ -23,7 +23,16 @@ from hetsched.analysis import (
     release_jitter_bound,
     suspension_bounds,
 )
-from hetsched.model import ModelError, builtin_waters, waters_published_assignment
+from hetsched.model import (
+    Core,
+    ImplType,
+    ModelError,
+    PlatformSpec,
+    ProblemInstance,
+    SegmentSpec,
+    builtin_waters,
+    waters_published_assignment,
+)
 
 
 # -- mapping to the self-suspending form -------------------------------------
@@ -73,6 +82,24 @@ def test_min_cpu_wcet_picks_cheapest_configuration():
     inst = make_instance([t])
     assert min_cpu_wcet(inst, t) == 1_000 + 1_500
     assert release_jitter_bound(inst, t) == 10_000 - 2_500
+
+
+def test_min_cpu_wcet_reads_the_types_of_the_cores():
+    # The cheaper "fast" type is declared but no core has it, so no task can
+    # run that cheaply and the jitter bound must not assume it.
+    platform = PlatformSpec(core_types=("slow", "fast"), cores=(Core("c0", "slow"),))
+    both = {"slow": 1_000, "fast": 100}
+    t0 = make_task(
+        "t0",
+        10_000,
+        [SegmentSpec(ImplType.CPU_HWA, exec_us=both, offload_us=both,
+                     finalize_us={"slow": 0, "fast": 0}, accel_us=2_000)],
+    )
+    t1 = make_task("t1", 10_000, [SegmentSpec(ImplType.CPU, exec_us=both)])
+    inst = ProblemInstance(platform=platform, tasks=(t0, t1))
+    assert min_cpu_wcet(inst, t0) == 1_000
+    assert inst.compiled.min_cpu == (1_000, 1_000)
+    assert inst.compiled.jitter == (9_000, 0)
 
 
 def test_cpu_only_task_has_no_release_jitter():

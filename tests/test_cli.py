@@ -214,6 +214,24 @@ def test_optimize_undecided_or_unreadable_answer_is_an_error(capsys, tmp_path, d
     assert json.loads(out)["status"] == "error"
 
 
+def test_optimize_non_utf8_solution_file_is_an_error(capsys, tmp_path, duo_files):
+    inst, _ = duo_files
+    script = tmp_path / "solver.py"
+    script.write_text("import sys\nopen(sys.argv[1], 'wb').write(b'Model status\\n\\xff\\n')\n")
+    code, out, _ = run(
+        capsys,
+        "optimize",
+        "--instance", inst,
+        "--policy", "rr",
+        "--objective", "minmax-lat",
+        "--backend", f"{sys.executable} {script} {{sol}} {{lp}}",
+    )
+    assert code == 1
+    doc = json.loads(out)
+    assert doc["status"] == "error"
+    assert doc["message"].startswith("unreadable solution file: ")
+
+
 def test_optimize_passes_an_infinite_time_limit_as_no_limit(capsys, duo_files):
     # The command reports the {timeout} it was given and writes no solution.
     inst, _ = duo_files
@@ -377,6 +395,8 @@ def _edited(doc: dict, path: tuple, value) -> str:
 
 WATERS_DOC = instance_to_dict(builtin_waters())
 PUBLISHED_DOC = assignment_to_dict(waters_published_assignment())
+NO_TASKS_DOC = json.dumps({**WATERS_DOC, "tasks": [], "chains": []})
+EMPTY_ASSIGNMENT = json.dumps({"core_of": {}, "priority_of": {}, "accelerated": {}})
 
 # (path, value, instance text or None for builtin:waters, assignment text or
 # None for the published deployment): ids and core types that are not strings.
@@ -411,6 +431,13 @@ MALFORMED = [
     ("time limit is negative", None, None, ["--time-limit", "-1"]),
     ("time limit is nan", None, None, ["--time-limit", "nan"]),
     ("time limit is nan for a command", None, None, ["--time-limit", "nan", "--backend", "false {lp}"]),
+    ("command names an unknown field", None, None, ["--time-limit", "60", "--backend", "solver {lp} {gap}"]),
+    ("command has a stray brace", None, None, ["--time-limit", "60", "--backend", "solver {lp} {"]),
+    ("command has a positional field", None, None, ["--time-limit", "60", "--backend", "solver {lp} {0}"]),
+    ("command has an unclosed quote", None, None, ["--time-limit", "60", "--backend", "solver '{lp}"]),
+    # ``validate`` reports this instance on standard output, so the row
+    # passes an assignment to leave it out; see the test below.
+    ("no tasks", NO_TASKS_DOC, EMPTY_ASSIGNMENT, []),
 ] + [
     (f"{path} is {value!r}", inst_text, asg_text, [])
     for path, value, inst_text, asg_text in NON_STRING_IDS
@@ -446,6 +473,30 @@ def test_malformed_documents_and_flags_are_clean_errors(
         assert out == ""
         assert err.startswith("error: ") and err.count("\n") == 1
         assert "Traceback" not in err
+
+
+def test_an_instance_without_tasks_is_invalid_for_every_command(capsys, tmp_path):
+    path = tmp_path / "no_tasks.json"
+    path.write_text(NO_TASKS_DOC)
+    asg = tmp_path / "empty_assignment.json"
+    asg.write_text(EMPTY_ASSIGNMENT)
+    inst = ["--instance", str(path), "--policy", "rr"]
+    code, out, _ = run(capsys, "validate", *inst[:2])
+    assert code == 1
+    doc = json.loads(out)
+    assert doc["valid"] is False
+    assert doc["problems"] == ["tasks: at least one task required"]
+    deployment = [*inst, "--assignment", str(asg)]
+    for argv in (
+        ["analyze", *deployment, "--format", "csv"],
+        ["simulate", *deployment],
+        ["optimize", *inst, "--objective", "minmax-rt"],
+        ["search", *inst, "--objective", "minmax-rt"],
+    ):
+        code, out, err = run(capsys, *argv)
+        assert code == 1, argv
+        assert out == ""
+        assert err == "error: invalid instance: tasks: at least one task required\n"
 
 
 @pytest.mark.parametrize(

@@ -160,6 +160,8 @@ STRUCTURAL_FAULTS = [
     ("undeclared core type",
      lambda i: _with_platform(i, cores=(Core("c0", "big"), Core("c1", "small"))),
      "platform.cores[1].type", "undeclared core type 'small'"),
+    ("no tasks", lambda i: replace(i, tasks=(), chains=()),
+     "tasks", "at least one task required"),
     ("task without segments", lambda i: _with_task(i, 0, segments=()),
      "tasks[0].segments", "task needs at least one segment"),
     ("exec_us on an accelerator-only segment",
@@ -476,8 +478,18 @@ def test_scaling_rounds_up_to_whole_microseconds(tiny):
     assert scaled.tasks[1].segments[0].exec_us["big"] == 7_200
     assert scaled.tasks[1].segments[0].finalize_us["big"] == 400
     assert scaled.tasks[0].segments[0].exec_us["big"] == 1_600
-    # Periods and deadlines are untouched.
+    # 1000 * 0.8 = 800; 4000 * 0.8 = 3200.
+    assert scaled.tasks[1].segments[0].offload_us["big"] == 800
+    assert scaled.tasks[1].segments[0].accel_us == 3_200
+    # Periods, deadlines, implementation types, the platform and the chains
+    # are untouched.
     assert scaled.tasks[0].period_us == tiny.tasks[0].period_us
+    assert [s.impl for t in scaled.tasks for s in t.segments] == [
+        s.impl for t in tiny.tasks for s in t.segments
+    ]
+    assert scaled.platform == tiny.platform
+    assert scaled.chains == tiny.chains
+    assert scale_wcets(builtin_waters(), 1) == builtin_waters()
 
 
 def test_scaling_is_exact_for_decimal_factors():
