@@ -32,6 +32,7 @@ from hetsched.model import (
     ProblemInstance,
     TaskSpec,
     Violation,
+    raise_invalid,
     structural_violations,
 )
 
@@ -53,6 +54,12 @@ MINSUM_LAT = "minsum-lat"
 MINMAX_RT = "minmax-rt"
 MINSUM_RT = "minsum-rt"
 OBJECTIVES = (MINMAX_LAT, MINSUM_LAT, MINMAX_RT, MINSUM_RT)
+
+
+def check_name(value: str, names: Sequence[str], what: str) -> None:
+    """Raise :class:`ModelError` unless ``value`` is one of ``names``."""
+    if value not in names:
+        raise ModelError(f"unknown {what} {value!r}")
 
 
 def _ceil_div(n: int, d: int) -> int:
@@ -273,9 +280,7 @@ class CompiledInstance:
     """
 
     def __init__(self, inst: ProblemInstance):
-        errors = structural_violations(inst)
-        if errors:
-            raise ModelError("invalid instance: " + "; ".join(str(e) for e in errors))
+        raise_invalid("invalid instance", structural_violations(inst))
         tasks = inst.tasks
         self.instance = inst
         self.task_ids = tuple([t.id for t in tasks])
@@ -337,17 +342,16 @@ class CompiledInstance:
         """:func:`accel_jitter_bound` of each task."""
         return tuple(accel_jitter_bound(self.instance, t) for t in self.instance.tasks)
 
-    def cpu_sources(self, i: int) -> list[tuple[int, int]]:
-        """``(period, release jitter bound)`` of every task but ``i``: the
-        steps of CPU interference every WCRT checkpoint grid includes."""
-        jitter = self.jitter
-        return [(t, jitter[s]) for s, t in enumerate(self.period) if s != i]
-
     @cached_property
     def cpu_grid(self) -> tuple[list[int], ...]:
-        """Conservative WCRT checkpoints of each task.  Each grid ends at
-        the task's deadline."""
-        return tuple(checkpoints(d, self.cpu_sources(i)) for i, d in enumerate(self.deadline))
+        """Conservative WCRT checkpoints of each task: every other task is a
+        source, with its release jitter bound.  Each grid ends at the task's
+        deadline, and every exact-mode grid contains it."""
+        jitter = self.jitter
+        return tuple(
+            checkpoints(d, [(t, jitter[s]) for s, t in enumerate(self.period) if s != i])
+            for i, d in enumerate(self.deadline)
+        )
 
     @cached_property
     def accel_grid(self) -> tuple[list[int], ...]:
@@ -451,9 +455,7 @@ class CompiledInstance:
     def check(self, assign: Assignment) -> None:
         """Raise :class:`ModelError` if :meth:`assignment_violations` finds
         anything."""
-        errors = self.assignment_violations(assign)
-        if errors:
-            raise ModelError("invalid assignment: " + "; ".join(str(e) for e in errors))
+        raise_invalid("invalid assignment", self.assignment_violations(assign))
 
     def deploy(self, assign: Assignment) -> tuple[list[int], list[int], list[SelfSuspendingView]]:
         """Core index, priority and self-suspending view of each task of a
@@ -552,8 +554,7 @@ def suspension_bounds(
     bound uses the checkpoint grid in ``conservative`` mode and the
     exact-jitter fixed point otherwise.
     """
-    if policy not in POLICIES:
-        raise ModelError(f"unknown policy {policy!r}")
+    check_name(policy, POLICIES, "policy")
     ci = inst.compiled
     _, prio, views = ci.deploy(assign)
     return dict(zip(ci.task_ids, _suspensions(ci, prio, views, policy, mode)))
@@ -680,10 +681,8 @@ def analyze(
     so analyzing many deployments of one instance computes its constants
     once.
     """
-    if policy not in POLICIES:
-        raise ModelError(f"unknown policy {policy!r}")
-    if mode not in MODES:
-        raise ModelError(f"unknown analysis mode {mode!r}")
+    check_name(policy, POLICIES, "policy")
+    check_name(mode, MODES, "analysis mode")
     ci = inst.compiled
     core, prio, views = ci.deploy(assign)
     suspensions = _suspensions(ci, prio, views, policy, mode)
@@ -706,7 +705,8 @@ def analyze(
             points = ci.cpu_grid[i]
         else:
             # Response-time-based jitters add steps of their own.
-            points = checkpoints(deadline, ci.cpu_sources(i) + [(t, j) for _, t, j in interferers])
+            steps = checkpoints(deadline, [(t, j) for _, t, j in interferers])
+            points = sorted(set(ci.cpu_grid[i]).union(steps))
         star = demand_test(base, points, interferers)
         wcrt[i] = None if star is None else demand(star, base, interferers)
 
@@ -727,8 +727,7 @@ def evaluate_objective(report: AnalysisReport, objective: str) -> Fraction | Non
     aggregate deadline-normalized response times.  Values are exact fractions
     so optimizer results can be compared without float noise.
     """
-    if objective not in OBJECTIVES:
-        raise ModelError(f"unknown objective {objective!r}")
+    check_name(objective, OBJECTIVES, "objective")
     if not report.schedulable:
         return None
     if objective in (MINMAX_LAT, MINSUM_LAT):

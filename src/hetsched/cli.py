@@ -29,6 +29,7 @@ from hetsched.model import (
     assignment_from_json,
     assignment_to_dict,
     load_instance,
+    raise_invalid,
     scale_wcets,
     validate_instance,
     waters_published_assignment,
@@ -43,9 +44,8 @@ def _load_inputs(args, check: bool = True) -> ProblemInstance:
     inst = load_instance(args.instance)
     if getattr(args, "scale", None) is not None:
         inst = scale_wcets(inst, args.scale)
-    errors = validate_instance(inst) if check else []
-    if errors:
-        raise ModelError("invalid instance: " + "; ".join(str(e) for e in errors))
+    if check:
+        raise_invalid("invalid instance", validate_instance(inst))
     return inst
 
 
@@ -183,7 +183,7 @@ def build_parser() -> argparse.ArgumentParser:
     )
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def common(p, assignment=False):
+    def common(p, policy=True, assignment=False, objective=False):
         p.add_argument(
             "--instance",
             required=True,
@@ -201,22 +201,23 @@ def build_parser() -> argparse.ArgumentParser:
                 help=f"assignment JSON path, or {PUBLISHED_ASSIGNMENT} for the "
                 "published benchmark deployment",
             )
+        if policy:
+            p.add_argument("--policy", required=True, choices=sorted(POLICIES))
+        if objective:
+            p.add_argument("--objective", required=True, choices=sorted(OBJECTIVES))
 
     p = sub.add_parser("validate", help="check an instance's structural invariants")
-    common(p)
+    common(p, policy=False)
     p.set_defaults(func=_cmd_validate)
 
     p = sub.add_parser("analyze", help="response times and chain latencies of a deployment")
     common(p, assignment=True)
-    p.add_argument("--policy", required=True, choices=sorted(POLICIES))
     p.add_argument("--mode", default=EXACT, choices=sorted(MODES))
     p.add_argument("--format", default="json", choices=["json", "csv"])
     p.set_defaults(func=_cmd_analyze)
 
     p = sub.add_parser("optimize", help="find a deployment by mixed-integer programming")
-    common(p)
-    p.add_argument("--policy", required=True, choices=sorted(POLICIES))
-    p.add_argument("--objective", required=True, choices=sorted(OBJECTIVES))
+    common(p, objective=True)
     p.add_argument("--backend", help="scipy (default), external, or a command template")
     p.add_argument("--time-limit", type=float, help="solver wall-clock budget in seconds")
     p.add_argument("--mip-gap", type=float, default=0.0, help="relative optimality gap")
@@ -229,15 +230,12 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(func=_cmd_optimize)
 
     p = sub.add_parser("search", help="exhaustive reference search (small instances)")
-    common(p)
-    p.add_argument("--policy", required=True, choices=sorted(POLICIES))
-    p.add_argument("--objective", required=True, choices=sorted(OBJECTIVES))
+    common(p, objective=True)
     p.add_argument("--limit", type=int, default=1_000_000, help="candidate cap")
     p.set_defaults(func=_cmd_search)
 
     p = sub.add_parser("simulate", help="discrete-event execution of a deployment")
     common(p, assignment=True)
-    p.add_argument("--policy", required=True, choices=sorted(POLICIES))
     p.add_argument("--horizon", type=int, help="simulated microseconds (default: hyperperiod)")
     p.add_argument("--seed", type=int, help="randomize offsets and durations")
     p.add_argument("--events", action="store_true", help="include the event trace")
@@ -250,10 +248,7 @@ def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
     try:
         return args.func(args)
-    except ModelError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 1
-    except OSError as exc:
+    except (ModelError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
 

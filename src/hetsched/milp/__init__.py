@@ -53,7 +53,7 @@ class OptimizeResult:
     message: str = ""
     nodes: int | None = None  # branch-and-bound nodes over every solve; None if one reported none
     dual_bound: float | None = None  # the solver's proven bound on solver_objective
-    resolved_without_presolve: bool = False  # an infeasible or refuted answer was re-solved
+    resolved_without_presolve: bool = False  # an infeasible or uncertified proof was re-solved
 
     @property
     def ok(self) -> bool:
@@ -108,12 +108,15 @@ def optimize(
     the conservative analysis, so a successful result is certified
     end-to-end rather than taken on the solver's word.
 
-    When HiGHS answers ``infeasible``, or proves an optimum that its own
-    deployment beats, the model is solved once more with HiGHS's presolve
-    off, and a deployment found that way is reported
-    (``resolved_without_presolve``).  On small seeded instances, presolve
-    occasionally cut off the optimum or every feasible point, and each such
-    case seen solved right without it.
+    When the built-in backend answers ``infeasible``, or proves at a zero
+    gap an optimum that :func:`verify_solution` does not certify, the model
+    is solved once more with HiGHS's presolve off, and a deployment found
+    that way is reported (``resolved_without_presolve``).  On small seeded
+    instances, presolve occasionally cut off the optimum or every feasible
+    point, and each such case seen solved right without it.  The re-solve is
+    the control experiment on the same model, so a fault of the encoding
+    still shows.  Only the built-in backend is given the gap, so only its
+    ``optimal`` counts as a proof.
 
     ``mip_gap`` is None or a finite number >= 0, and ``time_limit`` None or
     a number >= 0 (``inf`` is no limit); any other value, like an unknown
@@ -133,12 +136,16 @@ def optimize(
     if backend is None or isinstance(backend, str):
         backend = get_backend(backend)
 
+    builtin = isinstance(backend, ScipyBackend)
     nodes: list[int | None] = []  # as each solve reports them
 
     def solve(**options) -> SolveResult:
         res = backend.solve(model, time_limit=time_limit, mip_gap=mip_gap, **options)
         nodes.append(res.nodes)
         return res
+
+    def proven(res: SolveResult) -> bool:
+        return builtin and res.status == OPTIMAL and mip_gap == 0
 
     def attempt(**options):
         """The main solve and, if it found a deployment, the tie-break
@@ -154,18 +161,15 @@ def optimize(
                 values = res2.values
                 status = res2.status if status == OPTIMAL else status
         assignment = decode_assignment(model, values)
-        proven = res.status == OPTIMAL and mip_gap == 0
         verification = verify_solution(
-            inst, assignment, policy, objective, claimed=res.objective, proven=proven
+            inst, assignment, policy, objective, claimed=res.objective, proven=proven(res)
         )
         return res, status, assignment, verification
 
     res, status, assignment, verification = attempt()
-    resolved = isinstance(backend, ScipyBackend) and (
-        status == INFEASIBLE or (verification is not None and verification.refutes_proof)
-    )
+    resolved = (builtin and status == INFEASIBLE) or (proven(res) and not verification.ok)
     if resolved:
-        # The tie-break pinned the first model's objective to the refuted claim.
+        # The tie-break pinned the first model's objective to the untrusted claim.
         if tie_break is not None:
             model = build_milp(inst, policy, objective)
         retry = attempt(presolve=False)

@@ -50,9 +50,15 @@ that its own post-solve check then rejects as infeasible.
 
 Two families of aggregated valid inequalities tighten the LP relaxation.  The
 checkpoint rows tie ``R_t{i}`` to the analysis only through a big-M on each
-``y`` binary, so without the cuts the relaxation is weak: the four min-max
-solves of the benchmark's ``waters-optimize`` workload took 7,085
-branch-and-bound nodes without them and take 4 with them.
+``y`` binary, so without the cuts the relaxation is weak.  The four min-max
+solves of the benchmark's ``waters-optimize`` workload (rr min-max latency;
+rr, npfp and nocontention min-max response time) take 841 + 277 + 260 + 477
+= 1,855 branch-and-bound nodes and 11.6 s without them, and 1 + 93 + 83 + 1
+= 178 nodes and 2.8 s with them (one ``ScipyBackend.solve`` each, HiGHS
+1.12.0, 2 vCPUs).  When the cuts were added, to an encoding that still
+ordered priorities by an assignment binary per task and level and had no
+``c10m`` rows, the same four solves took 7,085 nodes without them and 4
+with them.
 
 * ``c11e_t{i}`` (every policy): ``R_i >= e_i + s_i + sum_s I_{s,i}``.  The
   selected checkpoint gives ``R_i >= rho_{i,g}`` (``c11c``) and
@@ -90,8 +96,8 @@ Two more rows tighten the relaxation without cutting off a deployment:
 
 A smaller encoding with one symmetric ``sp`` column per unordered task pair
 (the solver only needs ``sp >= x_ik + x_sk - 1``) halves the WATERS model,
-953 to 485 columns under rr, but on top of these cuts it is weaker: those
-four solves took 3,402 nodes instead of 4.
+953 to 485 columns under rr, but on top of the cuts, in the encoding they
+were added to, it was weaker: the four solves took 3,402 nodes instead of 4.
 
 Every assignment-independent constant (costs and their bounds, accelerator
 times, jitter bounds, checkpoint grids, interference multipliers, chain
@@ -112,6 +118,7 @@ from hetsched.analysis import (
     POLICIES,
     RR,
     CompiledInstance,
+    check_name,
 )
 from hetsched.milp.ir import MilpModel
 from hetsched.model import ModelError, ProblemInstance
@@ -221,10 +228,8 @@ def envelope_violation(inst: ProblemInstance) -> str | None:
 
 def build_milp(inst: ProblemInstance, policy: str, objective: str) -> MilpModel:
     """Build the deployment MILP for ``inst`` under an arbitration policy."""
-    if policy not in POLICIES:
-        raise ModelError(f"unknown policy {policy!r}")
-    if objective not in OBJECTIVES:
-        raise ModelError(f"unknown objective {objective!r}")
+    check_name(policy, POLICIES, "policy")
+    check_name(objective, OBJECTIVES, "objective")
     ci = inst.compiled  # rejects a structurally invalid instance
     problem = envelope_violation(inst)
     if problem:

@@ -8,7 +8,7 @@ from fractions import Fraction
 
 from hetsched.analysis import CONSERVATIVE, AnalysisReport, analyze, evaluate_objective
 from hetsched.milp.ir import MilpModel
-from hetsched.model import Assignment, ModelError, ProblemInstance
+from hetsched.model import Assignment, ModelError, ProblemInstance, raise_invalid
 
 
 # How far, relative to its size, a solver's claimed objective may sit from
@@ -61,12 +61,9 @@ def decode_assignment(model: MilpModel, values: dict[str, float]) -> Assignment:
 @dataclass(frozen=True)
 class VerificationResult:
     ok: bool
-    schedulable: bool
-    objective: Fraction | None  # recomputed analytically from the deployment
-    claimed: float | None  # the solver's objective value, if any
+    objective: Fraction | None  # recomputed analytically; None if unschedulable
     report: AnalysisReport
     message: str = ""
-    refutes_proof: bool = False  # the deployment beats a proven optimum
 
 
 def verify_solution(
@@ -87,14 +84,14 @@ def verify_solution(
     objective by more than that either: a deployment that beats the proven
     optimum refutes the proof.
     """
-    errors = inst.compiled.assignment_violations(assignment)
-    if errors:
-        raise SolutionDecodeError(
-            "decoded deployment is invalid: " + "; ".join(str(e) for e in errors)
-        )
+    raise_invalid(
+        "decoded deployment is invalid",
+        inst.compiled.assignment_violations(assignment),
+        SolutionDecodeError,
+    )
     report = analyze(inst, assignment, policy, mode=CONSERVATIVE)
     value = evaluate_objective(report, objective)
-    message, refutes_proof = "", False
+    message = ""
     if value is None:
         message = "deployment fails the conservative schedulability test"
     elif claimed is not None:
@@ -106,13 +103,4 @@ def verify_solution(
                 f"solver proved {claimed} optimal but its own deployment "
                 f"analyzes to {float(value)}"
             )
-            refutes_proof = True
-    return VerificationResult(
-        ok=not message,
-        schedulable=value is not None,
-        objective=value,
-        claimed=claimed,
-        report=report,
-        message=message,
-        refutes_proof=refutes_proof,
-    )
+    return VerificationResult(ok=not message, objective=value, report=report, message=message)

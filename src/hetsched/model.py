@@ -187,6 +187,14 @@ class Violation:
         return f"{self.path}: {self.message}"
 
 
+def raise_invalid(
+    what: str, errors: list[Violation], error: type[ModelError] = ModelError
+) -> None:
+    """Raise ``error`` naming ``what`` and every violation, if there is one."""
+    if errors:
+        raise error(f"{what}: " + "; ".join(map(str, errors)))
+
+
 # ---------------------------------------------------------------------------
 # Validation
 # ---------------------------------------------------------------------------
@@ -328,7 +336,7 @@ def validate_assignment(inst: ProblemInstance, assign: Assignment) -> list[Viola
 def _loads(text: str):
     try:
         return json.loads(text)
-    except json.JSONDecodeError as exc:
+    except (json.JSONDecodeError, RecursionError) as exc:  # the latter: nesting too deep
         raise ModelError(f"invalid JSON: {exc}") from None
 
 
@@ -365,8 +373,7 @@ def _take(obj: dict, path: str, keys: dict[str, bool]) -> dict:
 
 
 def _int(v, path: str) -> int:
-    # JSON ``true`` parses to a bool, which Python counts as an int.
-    if not isinstance(v, int) or isinstance(v, bool):
+    if not _whole(v):
         raise ModelError(f"{path}: expected an integer")
     return v
 

@@ -55,7 +55,7 @@ from collections import deque
 from dataclasses import dataclass, field
 from typing import NamedTuple
 
-from hetsched.analysis import NO_CONTENTION, NPFP, POLICIES, RR
+from hetsched.analysis import NO_CONTENTION, NPFP, POLICIES, RR, check_name
 from hetsched.model import Assignment, ModelError, ProblemInstance
 
 
@@ -116,8 +116,7 @@ def simulate(
     seed: int | None = None,
 ) -> SimResult:
     """Run the deployment and report observed response times per task."""
-    if policy not in POLICIES:
-        raise ModelError(f"unknown policy {policy!r}")
+    check_name(policy, POLICIES, "policy")
     if horizon_us is not None and (
         isinstance(horizon_us, bool) or not isinstance(horizon_us, int) or horizon_us <= 0
     ):
@@ -338,8 +337,7 @@ def validate_trace(events: list[SimEvent], policy: str) -> list[str]:
     that every service interval is bracketed by a matching request, and
     that every event is of a known kind.
     """
-    if policy not in POLICIES:
-        raise ModelError(f"unknown policy {policy!r}")
+    check_name(policy, POLICIES, "policy")
     serial = policy in (RR, NPFP)
     problems: list[str] = []
     add = problems.append

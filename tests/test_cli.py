@@ -397,6 +397,7 @@ WATERS_DOC = instance_to_dict(builtin_waters())
 PUBLISHED_DOC = assignment_to_dict(waters_published_assignment())
 NO_TASKS_DOC = json.dumps({**WATERS_DOC, "tasks": [], "chains": []})
 EMPTY_ASSIGNMENT = json.dumps({"core_of": {}, "priority_of": {}, "accelerated": {}})
+DEEP_JSON = "[" * 100_000 + "]" * 100_000  # deeper than ``json`` can recurse
 
 # (path, value, instance text or None for builtin:waters, assignment text or
 # None for the published deployment): ids and core types that are not strings.
@@ -420,6 +421,8 @@ MALFORMED = [
     ("core_types is a number", _edited(WATERS_DOC, ("platform", "core_types"), 7), None, []),
     ("accelerator is text", _edited(WATERS_DOC, ("platform", "accelerator"), "false"), None, []),
     ("assignment is not JSON", None, "{not json", []),
+    ("instance is nested too deep", DEEP_JSON, None, []),
+    ("assignment is nested too deep", None, DEEP_JSON, []),
     ("priority is a string", None, _edited(PUBLISHED_DOC, ("priority_of", "dasm"), "abc"), []),
     ("priority is a fraction", None, _edited(PUBLISHED_DOC, ("priority_of", "dasm"), 6.5), []),
     ("accelerated is a number", None, _edited(PUBLISHED_DOC, ("accelerated", "dasm"), 3), []),

@@ -1,5 +1,6 @@
 """MILP construction: variable/row catalog, grids, determinism, LP round-trip."""
 
+import collections
 import hashlib
 import json
 import math
@@ -27,7 +28,7 @@ from hetsched.analysis import (
     evaluate_objective,
     release_jitter_bound,
 )
-from hetsched.milp import OPTIMAL, ScipyBackend, build_milp, write_lp
+from hetsched.milp import INFEASIBLE, OPTIMAL, ScipyBackend, build_milp, write_lp
 from hetsched.milp.builder import encoding_magnitude
 from hetsched.milp.ir import MilpModel
 from hetsched.model import ChainSpec, ModelError, builtin_waters
@@ -404,3 +405,31 @@ def test_pinned_deployment_reaches_the_conservative_analysis(policy):
             expected = float(evaluate_objective(report, objective))
             assert res.status == OPTIMAL, (objective, res.message)
             assert res.objective == pytest.approx(expected, rel=1e-6), objective
+
+
+def test_pinned_deployment_is_exact_on_rejected_deployments():
+    # Random deployments, most of which the conservative analysis rejects:
+    # pinned, a schedulable one reaches its analyzed objective and a rejected
+    # one leaves the MILP infeasible, so no row admits what the analysis
+    # refuses.
+    rng = random.Random(2026)
+    backend = ScipyBackend()
+    outcomes = collections.Counter()
+    for _ in range(25):
+        inst = random_instance(rng, max_tasks=4, util=(0.5, 1.4))
+        asg = random_assignment(rng, inst)
+        for policy in POLICIES:
+            report = analyze(inst, asg, policy, mode=CONSERVATIVE)
+            for objective in OBJECTIVES:
+                model = build_milp(inst, policy, objective)
+                _pin(model, inst, asg)
+                res = backend.solve(model)
+                expected = evaluate_objective(report, objective)
+                case = (policy, objective, res.message)
+                if expected is None:
+                    assert res.status == INFEASIBLE, case
+                else:
+                    assert res.status == OPTIMAL, case
+                    assert res.objective == pytest.approx(float(expected), rel=1e-6), case
+                outcomes[res.status] += 1
+    assert outcomes == {OPTIMAL: 112, INFEASIBLE: 188}

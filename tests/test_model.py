@@ -212,6 +212,9 @@ def _edited_doc(inst, path, value):
     return doc
 
 
+# Deeper than the interpreter's recursion limit lets ``json`` parse.
+DEEP_JSON = "[" * 100_000 + "]" * 100_000
+
 # name, call on the ``tiny`` instance, then the start of the ModelError's message
 READER_FAULTS = [
     ("platform is a number",
@@ -224,6 +227,8 @@ READER_FAULTS = [
      "tasks[0].segments[0].impl: expected one of cpu/hwa/cpu_hwa"),
     ("scale factor is a list", lambda i: scale_wcets(i, [1]),
      "unsupported scale factor type: list"),
+    ("instance nested too deep", lambda i: instance_from_json(DEEP_JSON), "invalid JSON: "),
+    ("assignment nested too deep", lambda i: assignment_from_json(DEEP_JSON), "invalid JSON: "),
 ]
 
 

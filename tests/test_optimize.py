@@ -18,6 +18,7 @@ from hetsched.milp import (
     INFEASIBLE,
     MAX_ACCELERATION,
     OPTIMAL,
+    ExternalBackend,
     ScipyBackend,
     SolveResult,
     optimize,
@@ -188,15 +189,6 @@ def test_presolve_cutoff_instances_reach_the_brute_force_optimum(case):
     assert res.solver_objective == pytest.approx(float(ref.objective), abs=1e-6)
 
 
-class _ZeroClockBackend(ScipyBackend):
-    """HiGHS, but reporting that the solve took no time at all."""
-
-    def solve(self, *args, **kwargs):
-        res = super().solve(*args, **kwargs)
-        res.runtime_s = 0.0
-        return res
-
-
 class _InflatedClaimBackend(ScipyBackend):
     """HiGHS, but claiming an optimum one above the one it found.  With
     ``presolve_only``, only solves with presolve on lie, as in the presolve
@@ -292,6 +284,31 @@ def test_confirmed_infeasibility_stays_infeasible():
     assert res.resolved_without_presolve
 
 
+class _LooseExternalBackend(ExternalBackend):
+    """A command-line solver that answers HiGHS's deployment as ``optimal``
+    with an objective 1 us above it, as a solver stopped at its own default
+    gap may."""
+
+    def __init__(self):
+        super().__init__("solver {lp} {sol}")
+
+    def solve(self, model, time_limit=None, mip_gap=0.0):
+        res = ScipyBackend().solve(model, time_limit=time_limit, mip_gap=mip_gap)
+        res.objective += 1.0
+        return res
+
+
+def test_external_optimal_is_not_a_zero_gap_proof(tiny):
+    # The command template passes no gap, so an external "optimal" above the
+    # deployment's own value is an honest claim, not a refuted proof.
+    res = optimize(tiny, "rr", "minmax-lat", backend=_LooseExternalBackend())
+    assert res.status == OPTIMAL
+    assert res.verified and res.ok, res.message
+    assert res.objective == 29_500
+    assert res.solver_objective == pytest.approx(29_501.0)
+    assert not res.resolved_without_presolve
+
+
 def test_library_optimize_keeps_solver_noise_off_stdout():
     # HiGHS writes "transformNewIntegerFeasibleSolution" to file descriptor 1
     # while solving this instance (the benchmark's SmallOracle(2).ops[230]).
@@ -313,13 +330,12 @@ def test_library_optimize_keeps_solver_noise_off_stdout():
 
 
 def test_runtime_covers_the_whole_call(tiny):
-    # Build, decode and verify take time of their own, so the result's
-    # runtime is positive even when the backend reports none.
-    res = optimize(tiny, "rr", "minmax-lat", backend=_ZeroClockBackend())
+    # The result's runtime times the whole call, which backends do not time.
+    res = optimize(tiny, "rr", "minmax-lat")
     assert res.ok
     assert res.runtime_s > 0.0
     inst = make_instance([make_task("t", 10_000, [seg_cpu(12_000)])])
-    res = optimize(inst, "rr", "minmax-rt", backend=_ZeroClockBackend())
+    res = optimize(inst, "rr", "minmax-rt")
     assert res.status == INFEASIBLE
     assert res.runtime_s > 0.0
 
