@@ -86,20 +86,20 @@ class SelfSuspendingView:
     suspensions_us: tuple[int, ...]
     accelerated_segments: tuple[int, ...]
 
-    @property
+    @cached_property
     def cpu_wcet_us(self) -> int:
         return sum(self.exec_regions_us)
 
-    @property
+    @cached_property
     def suspends(self) -> bool:
         return bool(self.suspensions_us)
 
-    @property
+    @cached_property
     def longest_request_us(self) -> int:
         """Longest single accelerator request (0 for a CPU-only deployment)."""
         return max(self.suspensions_us, default=0)
 
-    @property
+    @cached_property
     def total_accel_us(self) -> int:
         return sum(self.suspensions_us)
 
@@ -221,10 +221,19 @@ def demand_test(
     interferers: Iterable[tuple[int, int, int]],
 ) -> int | None:
     """Smallest candidate point whose accumulated demand fits within it."""
-    interferers = list(interferers)
+    fit = _first_fit(base, points, list(interferers))
+    return None if fit is None else fit[0]
+
+
+def _first_fit(
+    base: int, points: Sequence[int], interferers: Sequence[tuple[int, int, int]]
+) -> tuple[int, int] | None:
+    """:func:`demand_test`'s point and the demand there, which is the bound
+    the grid certifies; None when no point fits."""
     for t in points:
-        if demand(t, base, interferers) <= t:
-            return t
+        d = demand(t, base, interferers)
+        if d <= t:
+            return t, d
     return None
 
 
@@ -506,8 +515,8 @@ def _npfp_wait(
 
     if mode == CONSERVATIVE:
         interferers = [(views[s].total_accel_us, ci.period[s], ci.accel_jitter[s]) for s in hp]
-        star = demand_test(blocking, ci.accel_grid[i], interferers)
-        return None if star is None else demand(star, blocking, interferers)
+        fit = _first_fit(blocking, ci.accel_grid[i], interferers)
+        return None if fit is None else fit[1]
     rivals = [(views[s].total_accel_us, s) for s in hp]
     backlog = [(g, ci.period[s], ci.deadline[s] - g) for g, s in rivals]
     return rta_fixed_point(blocking, backlog, ci.deadline[i])
@@ -555,6 +564,7 @@ def suspension_bounds(
     exact-jitter fixed point otherwise.
     """
     check_name(policy, POLICIES, "policy")
+    check_name(mode, MODES, "analysis mode")
     ci = inst.compiled
     _, prio, views = ci.deploy(assign)
     return dict(zip(ci.task_ids, _suspensions(ci, prio, views, policy, mode)))
@@ -669,22 +679,27 @@ def _cpu_interferers(
     return out
 
 
-def analyze(
-    inst: ProblemInstance,
-    assign: Assignment,
-    policy: str,
-    mode: str = EXACT,
-) -> AnalysisReport:
-    """Response times, suspension bounds and chain latencies for a deployment.
+def _chain_latencies(ci: CompiledInstance, wcrt: Sequence[int | None]) -> dict[str, int | None]:
+    """:func:`chain_latency` of each chain of the instance, from the WCRT of
+    each task by index."""
+    wcrt_of = dict(zip(ci.task_ids, wcrt))
+    return {c.id: chain_latency(c, wcrt_of, ci.instance) for c in ci.instance.chains}
 
-    The analysis reads the instance's :attr:`~ProblemInstance.compiled` view,
-    so analyzing many deployments of one instance computes its constants
-    once.
+
+def _wcrts(
+    ci: CompiledInstance,
+    core: Sequence[int],
+    prio: Sequence[int],
+    views: Sequence[SelfSuspendingView],
+    policy: str,
+    mode: str,
+) -> tuple[list[tuple[int, ...] | None], list[int | None]]:
+    """Suspension bounds and WCRT of each task of a deployment, by index.
+
+    The deployment is given as each task's core index, priority and
+    self-suspending view.  This is the whole analysis: :func:`analyze` wraps
+    it in a report, and the brute-force search runs it on every candidate.
     """
-    check_name(policy, POLICIES, "policy")
-    check_name(mode, MODES, "analysis mode")
-    ci = inst.compiled
-    core, prio, views = ci.deploy(assign)
     suspensions = _suspensions(ci, prio, views, policy, mode)
     n = len(prio)
     wcrt: list[int | None] = [None] * n
@@ -707,17 +722,39 @@ def analyze(
             # Response-time-based jitters add steps of their own.
             steps = checkpoints(deadline, [(t, j) for _, t, j in interferers])
             points = sorted(set(ci.cpu_grid[i]).union(steps))
-        star = demand_test(base, points, interferers)
-        wcrt[i] = None if star is None else demand(star, base, interferers)
+        fit = _first_fit(base, points, interferers)
+        wcrt[i] = None if fit is None else fit[1]
+    return suspensions, wcrt
 
+
+def analyze(
+    inst: ProblemInstance,
+    assign: Assignment,
+    policy: str,
+    mode: str = EXACT,
+) -> AnalysisReport:
+    """Response times, suspension bounds and chain latencies for a deployment.
+
+    The analysis reads the instance's :attr:`~ProblemInstance.compiled` view,
+    so analyzing many deployments of one instance computes its constants
+    once.
+    """
+    check_name(policy, POLICIES, "policy")
+    check_name(mode, MODES, "analysis mode")
+    ci = inst.compiled
+    core, prio, views = ci.deploy(assign)
+    suspensions, wcrt = _wcrts(ci, core, prio, views, policy, mode)
     core_of = assign.core_of
     results = [
         TaskResult(tid, core_of[tid], p, v.cpu_wcet_us, None if s is None else sum(s), r, d)
         for tid, p, v, s, r, d in zip(ci.task_ids, prio, views, suspensions, wcrt, ci.deadline)
     ]
-    wcrt_of = dict(zip(ci.task_ids, wcrt))
-    chains = {c.id: chain_latency(c, wcrt_of, inst) for c in inst.chains}
-    return AnalysisReport(policy=policy, mode=mode, tasks=tuple(results), chain_latency_us=chains)
+    return AnalysisReport(
+        policy=policy,
+        mode=mode,
+        tasks=tuple(results),
+        chain_latency_us=_chain_latencies(ci, wcrt),
+    )
 
 
 def evaluate_objective(report: AnalysisReport, objective: str) -> Fraction | None:
@@ -730,10 +767,43 @@ def evaluate_objective(report: AnalysisReport, objective: str) -> Fraction | Non
     check_name(objective, OBJECTIVES, "objective")
     if not report.schedulable:
         return None
+    return _objective_value(
+        objective,
+        [t.wcrt_us for t in report.tasks],
+        [t.deadline_us for t in report.tasks],
+        list(report.chain_latency_us.values()),
+    )
+
+
+def conservative_objective(
+    ci: CompiledInstance,
+    core: Sequence[int],
+    prio: Sequence[int],
+    views: Sequence[SelfSuspendingView],
+    policy: str,
+    objective: str,
+) -> Fraction | None:
+    """``evaluate_objective(analyze(..., mode=CONSERVATIVE), objective)`` of
+    a deployment given by index, as :meth:`CompiledInstance.deploy` returns
+    it, without building the report.  The names are not checked."""
+    _, wcrt = _wcrts(ci, core, prio, views, policy, CONSERVATIVE)
+    if None in wcrt:
+        return None
+    latency = list(_chain_latencies(ci, wcrt).values())
+    return _objective_value(objective, wcrt, ci.deadline, latency)
+
+
+def _objective_value(
+    objective: str,
+    wcrt: Sequence[int],
+    deadline: Sequence[int],
+    latency: Sequence[int],
+) -> Fraction:
+    """:func:`evaluate_objective` of a schedulable deployment, from the WCRT
+    and deadline of each task and the latency of each chain."""
     if objective in (MINMAX_LAT, MINSUM_LAT):
-        if not report.chain_latency_us:
+        if not latency:
             raise ModelError("latency objectives require at least one chain")
-        values = [Fraction(v) for v in report.chain_latency_us.values()]
-        return max(values) if objective == MINMAX_LAT else sum(values)
-    ratios = [Fraction(t.wcrt_us, t.deadline_us) for t in report.tasks]
+        return Fraction(max(latency) if objective == MINMAX_LAT else sum(latency))
+    ratios = [Fraction(r, d) for r, d in zip(wcrt, deadline)]
     return max(ratios) if objective == MINMAX_RT else sum(ratios)

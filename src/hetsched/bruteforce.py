@@ -5,6 +5,14 @@ evaluates each with the conservative analysis.  Exponential, so only usable
 on small instances; its value is being an independent reference the MILP
 route can be checked against.
 
+A candidate is a tuple of indices (each task's core, priority and
+accelerated segments) on the instance's compiled view.  The search values it
+with :func:`~hetsched.analysis.conservative_objective`, which runs the WCRT
+loop of :func:`~hetsched.analysis.analyze` without building a report or an
+:class:`~hetsched.model.Assignment`.  Only the winner becomes an
+``Assignment``; it is analyzed once more through :func:`analyze`, whose
+objective is the one reported and must equal the value the search found.
+
 Which priority orders the search analyzes depends on the arbitration policy.
 Under ``rr`` and ``nocontention`` the conservative analysis compares the
 priorities of two tasks only when they share a core: a task's CPU
@@ -28,7 +36,17 @@ from fractions import Fraction
 from itertools import permutations, product
 from typing import Iterator
 
-from hetsched.analysis import CONSERVATIVE, NPFP, analyze, evaluate_objective
+from hetsched.analysis import (
+    CONSERVATIVE,
+    NPFP,
+    OBJECTIVES,
+    POLICIES,
+    CompiledInstance,
+    analyze,
+    check_name,
+    conservative_objective,
+    evaluate_objective,
+)
 from hetsched.model import Assignment, ModelError, ProblemInstance
 
 
@@ -47,32 +65,34 @@ def enumerate_assignments(inst: ProblemInstance) -> Iterator[Assignment]:
     priority permutations, then acceleration subsets.  Segments that only
     exist in accelerated form are always accelerated.
     """
-    return _deployments(inst, per_core_orders=False)
-
-
-def _deployments(inst: ProblemInstance, per_core_orders: bool) -> Iterator[Assignment]:
-    """:func:`enumerate_assignments`, optionally keeping only the first
-    priority permutation of each set of per-core priority orders."""
     ci = inst.compiled
-    ids = ci.task_ids
-    n = len(ids)
-    cores = list(ci.core_index)
-    forced = dict(zip(ids, ci.forced))
+    for deployment in _deployments(ci, per_core_orders=False):
+        yield _assignment(ci, *deployment)
+
+
+Deployment = tuple[tuple[int, ...], tuple[int, ...], tuple[frozenset[int], ...]]
+
+
+def _deployments(ci: CompiledInstance, per_core_orders: bool) -> Iterator[Deployment]:
+    """:func:`enumerate_assignments` as index tuples: each task's core index,
+    priority and accelerated segments.  With ``per_core_orders`` only the
+    first priority permutation of each set of per-core priority orders is
+    kept."""
+    n = len(ci.task_ids)
     optional = [
-        (tid, j)
-        for tid, acc, fixed in zip(ids, ci.accelerable, ci.forced)
+        (i, j)
+        for i, (acc, fixed) in enumerate(zip(ci.accelerable, ci.forced))
         for j in acc
         if j not in fixed
     ]
     accel_choices = []
     for bits in product((False, True), repeat=len(optional)):
-        accel = {tid: set(fixed) for tid, fixed in forced.items()}
-        for (tid, j), on in zip(optional, bits):
+        accel = [set(fixed) for fixed in ci.forced]
+        for (i, j), on in zip(optional, bits):
             if on:
-                accel[tid].add(j)
-        accel_choices.append({tid: frozenset(s) for tid, s in accel.items()})
-    for core_vec in product(range(len(cores)), repeat=n):
-        core_of = {tid: cores[k] for tid, k in zip(ids, core_vec)}
+                accel[i].add(j)
+        accel_choices.append(tuple(frozenset(s) for s in accel))
+    for core_vec in product(range(len(ci.core_index)), repeat=n):
         same_core = [
             (i, s) for i in range(n) for s in range(i + 1, n) if core_vec[i] == core_vec[s]
         ]
@@ -83,11 +103,24 @@ def _deployments(inst: ProblemInstance, per_core_orders: bool) -> Iterator[Assig
                 if orders in seen:
                     continue
                 seen.add(orders)
-            priority_of = dict(zip(ids, perm))
             for accelerated in accel_choices:
-                yield Assignment(
-                    core_of=core_of, priority_of=priority_of, accelerated=accelerated
-                )
+                yield core_vec, perm, accelerated
+
+
+def _assignment(
+    ci: CompiledInstance,
+    core_vec: tuple[int, ...],
+    perm: tuple[int, ...],
+    accelerated: tuple[frozenset[int], ...],
+) -> Assignment:
+    """The :class:`Assignment` of a deployment given as index tuples."""
+    cores = list(ci.core_index)
+    ids = ci.task_ids
+    return Assignment(
+        core_of={tid: cores[k] for tid, k in zip(ids, core_vec)},
+        priority_of=dict(zip(ids, perm)),
+        accelerated=dict(zip(ids, accelerated)),
+    )
 
 
 @dataclass(frozen=True)
@@ -107,26 +140,44 @@ def best_assignment(
     """Return the best deployment by brute force (ties: first in order).
 
     ``limit`` caps :func:`search_space_size`, the full enumeration, even
-    where the search analyzes fewer deployments.
+    where the search analyzes fewer deployments.  The reported objective is
+    that of :func:`~hetsched.analysis.analyze`'s report on the winner, which
+    must equal the value the search found for it.
     """
     size = search_space_size(inst)
     if size > limit:
         raise ModelError(
             f"search space holds {size} deployments, above the limit of {limit}"
         )
+    check_name(policy, POLICIES, "policy")
+    check_name(objective, OBJECTIVES, "objective")
+    ci = inst.compiled
+    view, core_type = ci.view, ci.core_type
     best_value: Fraction | None = None
-    best: Assignment | None = None
+    best: Deployment | None = None
     evaluated = 0
     feasible = 0
-    for cand in _deployments(inst, per_core_orders=policy != NPFP):
+    for deployment in _deployments(ci, per_core_orders=policy != NPFP):
         evaluated += 1
-        report = analyze(inst, cand, policy, mode=CONSERVATIVE)
-        value = evaluate_objective(report, objective)
+        core_vec, perm, accelerated = deployment
+        views = [
+            view(i, core_type[k], acc) for i, (k, acc) in enumerate(zip(core_vec, accelerated))
+        ]
+        value = conservative_objective(ci, core_vec, perm, views, policy, objective)
         if value is None:
             continue
         feasible += 1
         if best_value is None or value < best_value:
-            best_value, best = value, cand
+            best_value, best = value, deployment
+    if best is None:
+        return SearchResult(objective=None, assignment=None, evaluated=evaluated, feasible=feasible)
+    winner = _assignment(ci, *best)
+    reported = evaluate_objective(analyze(inst, winner, policy, mode=CONSERVATIVE), objective)
+    if reported != best_value:
+        raise RuntimeError(
+            f"search valued its best deployment at {best_value}, "
+            f"but its analysis reports {reported}"
+        )
     return SearchResult(
-        objective=best_value, assignment=best, evaluated=evaluated, feasible=feasible
+        objective=reported, assignment=winner, evaluated=evaluated, feasible=feasible
     )

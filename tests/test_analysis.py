@@ -281,6 +281,8 @@ UNKNOWN_NAMES = [
     ("analyze policy", lambda i, a: analyze(i, a, "edf"), "unknown policy 'edf'"),
     ("suspension_bounds policy", lambda i, a: suspension_bounds(i, a, "edf"),
      "unknown policy 'edf'"),
+    ("suspension_bounds mode", lambda i, a: suspension_bounds(i, a, NPFP, mode="bogus"),
+     "unknown analysis mode 'bogus'"),
     ("analyze mode", lambda i, a: analyze(i, a, RR, mode="exactish"),
      "unknown analysis mode 'exactish'"),
     ("objective", lambda i, a: evaluate_objective(analyze(i, a, RR), "minmax-wcet"),

@@ -1,5 +1,6 @@
 """Exhaustive search: enumeration order, counting, and agreement with the MILP."""
 
+import dataclasses
 import math
 import random
 
@@ -7,7 +8,16 @@ import pytest
 from helpers import make_instance, make_task, random_instance, seg_cpu, seg_hwa, seg_opt
 
 import hetsched.bruteforce
-from hetsched.analysis import CONSERVATIVE, NPFP, OBJECTIVES, POLICIES, analyze, evaluate_objective
+from hetsched.analysis import (
+    CONSERVATIVE,
+    MINMAX_LAT,
+    MINMAX_RT,
+    NPFP,
+    OBJECTIVES,
+    POLICIES,
+    analyze,
+    evaluate_objective,
+)
 from hetsched.bruteforce import best_assignment, enumerate_assignments, search_space_size
 from hetsched.milp import optimize
 from hetsched.model import ChainSpec, ModelError, validate_assignment
@@ -130,13 +140,20 @@ def test_search_matches_the_full_enumeration(k):
             assert res.objective == min(feasible), (policy, objective)
             # Ties resolve as in the full enumeration: its first optimum.
             assert res.assignment == cands[values.index(res.objective)]
+            # npfp analyzes every candidate; rr and nocontention one per
+            # set of per-core orders, so at most as many are schedulable.
+            if policy == NPFP:
+                assert res.feasible == len(feasible), (policy, objective)
+            else:
+                assert 0 < res.feasible <= len(feasible), (policy, objective)
         expected = search_space_size(inst) if policy == NPFP else _distinct_orders(inst)
         assert res.evaluated == expected, policy
 
 
 @pytest.mark.parametrize("policy", POLICIES)
 def test_search_analyzes_through_the_module_attribute(monkeypatch, duo, policy):
-    # Tracing wraps this attribute to time the search's analyses.
+    # Tracing wraps this attribute to time the search's analysis of its
+    # winner: one call per search that finds a deployment, none otherwise.
     calls = []
     real = hetsched.bruteforce.analyze
 
@@ -146,4 +163,42 @@ def test_search_analyzes_through_the_module_attribute(monkeypatch, duo, policy):
 
     monkeypatch.setattr(hetsched.bruteforce, "analyze", counting)
     res = best_assignment(duo, policy, "minsum-lat")
-    assert len(calls) == res.evaluated
+    assert res.assignment is not None
+    assert len(calls) == 1
+    calls.clear()
+    overloaded = make_instance([make_task("t", 10_000, [seg_cpu(12_000)])])
+    res = best_assignment(overloaded, policy, "minmax-rt")
+    assert res.assignment is None
+    assert calls == []
+
+
+def test_search_refuses_a_winner_its_analysis_values_otherwise(monkeypatch, duo):
+    real = hetsched.bruteforce.analyze
+
+    def longer_chains(*args, **kwargs):
+        report = real(*args, **kwargs)
+        latency = {c: v + 1 for c, v in report.chain_latency_us.items()}
+        return dataclasses.replace(report, chain_latency_us=latency)
+
+    monkeypatch.setattr(hetsched.bruteforce, "analyze", longer_chains)
+    with pytest.raises(RuntimeError, match="29500, but its analysis reports 29501"):
+        best_assignment(duo, "rr", "minmax-lat")
+
+
+def _first_five_task_draw():
+    """The first 5-task, 2-core instance of ``random.Random(5005)``."""
+    rng = random.Random(5005)
+    while True:
+        inst = random_instance(rng, max_tasks=5, max_cores=2)
+        if len(inst.tasks) == 5 and len(inst.platform.cores) == 2:
+            return inst
+
+
+@pytest.mark.parametrize("objective", [MINMAX_RT, MINMAX_LAT])
+@pytest.mark.parametrize("policy", POLICIES)
+def test_five_tasks_on_two_cores_agree_with_the_milp_route(policy, objective):
+    inst = _first_five_task_draw()
+    milp = optimize(inst, policy, objective)
+    brute = best_assignment(inst, policy, objective)
+    assert milp.ok
+    assert milp.objective == brute.objective

@@ -393,11 +393,38 @@ def test_optimize_reaches_the_module_attributes_the_tracer_wraps(tiny, monkeypat
 
 
 def test_search_reaches_the_analysis_the_tracer_wraps(tiny, monkeypatch):
+    # The search analyzes its winner once through the module attribute, and
+    # an instance with no schedulable deployment not at all.
     counts = Counter()
     _count_calls(monkeypatch, hetsched.bruteforce, "analyze", counts)
     ref = best_assignment(tiny, "rr", "minmax-lat")
-    assert ref.evaluated > 0
-    assert counts["analyze"] == ref.evaluated
+    assert ref.evaluated > 0 and ref.assignment is not None
+    assert counts["analyze"] == 1
+    counts.clear()
+    overloaded = make_instance([make_task("t", 10_000, [seg_cpu(12_000)])])
+    assert best_assignment(overloaded, "rr", "minmax-rt").assignment is None
+    assert counts["analyze"] == 0
+
+
+def test_a_traced_round_gives_every_layer_metric(tiny, monkeypatch):
+    # The benchmark's tracer and its per-layer metrics, on one small round.
+    monkeypatch.syspath_prepend(str(Path(__file__).resolve().parent.parent / "bench"))
+    import run
+    import workloads
+    from timing import Meter, Tracer
+
+    meter = Meter()
+    meter.start_round()
+    with Tracer(meter):
+        solved = workloads.solve(meter, tiny, "rr", "minmax-lat")
+        found = workloads.search(meter, tiny, "rr", "minmax-lat")
+        workloads.simulate(meter, tiny, found.assignment, "rr", None, None)
+    metrics = run.layer_metrics(meter.rounds[0])
+    assert solved.objective == found.objective
+    assert metrics["highs.calls"] == 1
+    assert metrics["search.candidates"] == found.evaluated
+    assert 0 < metrics["search.analyze.s"] <= metrics["search.s"]
+    assert 0 <= metrics["assemble.s"] and 0 <= metrics["search.enumerate.s"]
 
 
 def test_unknown_tie_break_rejected(tiny):
