@@ -14,6 +14,8 @@ import sys
 
 from hetsched.analysis import (
     EXACT,
+    MINMAX_RT,
+    MINSUM_RT,
     MODES,
     OBJECTIVES,
     POLICIES,
@@ -101,12 +103,10 @@ def _cmd_analyze(args) -> int:
         _emit_csv(report.to_dict()["tasks"], args)
     else:
         doc = report.to_dict()
-        if inst.chains:
-            for objective in OBJECTIVES:
-                value = evaluate_objective(report, objective)
-                doc.setdefault("objectives", {})[objective] = (
-                    None if value is None else float(value)
-                )
+        # Latency objectives need a chain; response-time ones do not.
+        objectives = OBJECTIVES if inst.chains else (MINMAX_RT, MINSUM_RT)
+        values = {o: evaluate_objective(report, o) for o in objectives}
+        doc["objectives"] = {o: None if v is None else float(v) for o, v in values.items()}
         _emit(doc, args)
     return 0 if report.schedulable else 2
 

@@ -7,6 +7,7 @@ writer, backends, decoder) are importable individually.
 from __future__ import annotations
 
 import math
+import numbers
 import time
 from dataclasses import dataclass
 from fractions import Fraction
@@ -92,6 +93,11 @@ def _pin_and_maximize_acceleration(model: MilpModel, incumbent: float) -> None:
     model.set_objective([(col, -1.0) for cols in model.meta["a"] for col in cols.values()])
 
 
+def _number(v) -> bool:
+    """A real number and not a ``bool``, which would read as 0 or 1."""
+    return isinstance(v, numbers.Real) and not isinstance(v, bool)
+
+
 def optimize(
     inst: ProblemInstance,
     policy: str,
@@ -119,14 +125,15 @@ def optimize(
     ``optimal`` counts as a proof.
 
     ``mip_gap`` is None or a finite number >= 0, and ``time_limit`` None or
-    a number >= 0 (``inf`` is no limit); any other value, like an unknown
-    ``tie_break``, raises :class:`~hetsched.model.ModelError`.
+    a number >= 0 (``inf`` is no limit), neither a ``bool``; any other
+    value, like an unknown ``tie_break``, raises
+    :class:`~hetsched.model.ModelError`.
     """
     if tie_break not in (None, MAX_ACCELERATION):
         raise ModelError(f"unknown tie_break {tie_break!r}")
-    if mip_gap is not None and not 0 <= mip_gap < math.inf:
+    if mip_gap is not None and not (_number(mip_gap) and 0 <= mip_gap < math.inf):
         raise ModelError(f"mip_gap must be a finite number >= 0, not {mip_gap!r}")
-    if time_limit is not None and not time_limit >= 0:
+    if time_limit is not None and not (_number(time_limit) and time_limit >= 0):
         raise ModelError(f"time_limit must be a number >= 0, not {time_limit!r}")
     start = time.perf_counter()
     model = build_milp(inst, policy, objective)

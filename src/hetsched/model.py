@@ -14,10 +14,11 @@ from __future__ import annotations
 import enum
 import json
 import math
-from dataclasses import dataclass, field, replace
+from collections import abc
+from dataclasses import dataclass, field, fields, is_dataclass, replace
 from fractions import Fraction
-from functools import cached_property
-from typing import TYPE_CHECKING, Iterable, Mapping
+from functools import cache, cached_property
+from typing import TYPE_CHECKING, Iterable, Mapping, get_args, get_origin, get_type_hints
 
 if TYPE_CHECKING:
     from hetsched.analysis import CompiledInstance
@@ -54,6 +55,10 @@ class PlatformSpec:
     accelerator: bool = True
 
 
+# What a WCET table must be in a document, for the reader's error message.
+_WCET_TABLE = {"expected": "an object of core-type -> integer"}
+
+
 @dataclass(frozen=True)
 class SegmentSpec:
     """One segment of a task.
@@ -66,9 +71,9 @@ class SegmentSpec:
     """
 
     impl: ImplType
-    exec_us: Mapping[str, int] = field(default_factory=dict)
-    offload_us: Mapping[str, int] = field(default_factory=dict)
-    finalize_us: Mapping[str, int] = field(default_factory=dict)
+    exec_us: Mapping[str, int] = field(default_factory=dict, metadata=_WCET_TABLE)
+    offload_us: Mapping[str, int] = field(default_factory=dict, metadata=_WCET_TABLE)
+    finalize_us: Mapping[str, int] = field(default_factory=dict, metadata=_WCET_TABLE)
     accel_us: int | None = None
 
     def __post_init__(self):
@@ -328,9 +333,14 @@ def validate_assignment(inst: ProblemInstance, assign: Assignment) -> list[Viola
 
 
 # ---------------------------------------------------------------------------
-# JSON (de)serialization.  Unknown keys are rejected everywhere so that typos
-# in hand-written instance files fail loudly.
+# JSON (de)serialization.  One reader walks the dataclasses' field types and
+# one writer their values, so the classes above state the format.  Unknown
+# keys are rejected everywhere so that typos in hand-written instance files
+# fail loudly.
 # ---------------------------------------------------------------------------
+
+# The keys a document may leave out; every other field is required.
+_OMITTABLE = frozenset({"chains", "exec_us", "offload_us", "finalize_us", "accel_us"})
 
 
 def _loads(text: str):
@@ -384,111 +394,76 @@ def _str(v, path: str) -> str:
     return v
 
 
-def _int_table(obj, path: str) -> dict[str, int]:
-    if not isinstance(obj, dict):
-        raise ModelError(f"{path}: expected an object of core-type -> integer")
-    return {str(k): _int(v, f"{path}.{k}") for k, v in obj.items()}
+_SCALARS = {int: _int, str: _str, bool: _bool}
+
+
+@cache
+def _schema(cls) -> dict[str, tuple]:
+    """Each field of dataclass ``cls`` with its type, resolved on first use
+    rather than at import, and what a mapping held in it must be."""
+    hints = get_type_hints(cls)
+    return {f.name: (hints[f.name], f.metadata.get("expected", "an object")) for f in fields(cls)}
+
+
+def _read(tp, v, path: str, expected: str = "an object"):
+    """Read the JSON value ``v`` as a ``tp``, walking a dataclass's field types.
+
+    ``path`` names ``v`` in errors, and ``expected`` says what a mapping must
+    be.  A dataclass is an object with exactly its fields as keys, of which
+    only those in :data:`_OMITTABLE` may be left out.
+    """
+    if is_dataclass(tp):
+        schema = _schema(tp)
+        data = _take(v, path, {name: name not in _OMITTABLE for name in schema})
+        return tp(
+            **{
+                name: _read(hint, data[name], name if path == "$" else f"{path}.{name}", what)
+                for name, (hint, what) in schema.items()
+                if name in data
+            }
+        )
+    if tp in _SCALARS:
+        return _SCALARS[tp](v, path)
+    if isinstance(tp, enum.EnumMeta):
+        try:
+            return tp(v)
+        except ValueError:
+            raise ModelError(f"{path}: expected one of {'/'.join(m.value for m in tp)}") from None
+    origin, args = get_origin(tp), get_args(tp)
+    if origin is tuple:
+        return tuple(_read(args[0], x, f"{path}[{k}]") for k, x in enumerate(_list(v, path)))
+    if origin is frozenset:
+        return frozenset(_read(args[0], x, path) for x in _list(v, path))
+    if origin is abc.Mapping:
+        if not isinstance(v, dict):
+            raise ModelError(f"{path}: expected {expected}")
+        return {str(k): _read(args[1], x, f"{path}.{k}") for k, x in v.items()}
+    # ``X | None``, the one union the model uses
+    return None if v is None else _read(args[0], v, path)
+
+
+def _write(v):
+    """The JSON value of ``v``; omittable keys holding nothing are left out."""
+    if is_dataclass(v):
+        items = ((f.name, getattr(v, f.name)) for f in fields(v))
+        return {k: _write(x) for k, x in items if not (k in _OMITTABLE and x in (None, {}))}
+    if isinstance(v, enum.Enum):
+        return v.value
+    if isinstance(v, tuple):
+        return [_write(x) for x in v]
+    if isinstance(v, frozenset):
+        return sorted(v)
+    if isinstance(v, dict):
+        return {k: _write(x) for k, x in sorted(v.items())}
+    return v
 
 
 def instance_from_dict(doc: dict) -> ProblemInstance:
-    top = _take(doc, "$", {"platform": True, "tasks": True, "chains": False})
-
-    p = _take(top["platform"], "platform", {"core_types": True, "cores": True, "accelerator": True})
-    cores = []
-    for i, c in enumerate(_list(p["cores"], "platform.cores")):
-        path = f"platform.cores[{i}]"
-        cd = _take(c, path, {"id": True, "type": True})
-        cores.append(Core(id=_str(cd["id"], f"{path}.id"), type=_str(cd["type"], f"{path}.type")))
-    types = _list(p["core_types"], "platform.core_types")
-    platform = PlatformSpec(
-        core_types=tuple(_str(t, f"platform.core_types[{k}]") for k, t in enumerate(types)),
-        cores=tuple(cores),
-        accelerator=_bool(p["accelerator"], "platform.accelerator"),
-    )
-
-    tasks = []
-    for i, t in enumerate(_list(top["tasks"], "tasks")):
-        td = _take(
-            t,
-            f"tasks[{i}]",
-            {"id": True, "period_us": True, "deadline_us": True, "segments": True},
-        )
-        segments = []
-        for j, s in enumerate(_list(td["segments"], f"tasks[{i}].segments")):
-            spath = f"tasks[{i}].segments[{j}]"
-            sd = _take(
-                s,
-                spath,
-                {
-                    "impl": True,
-                    "exec_us": False,
-                    "offload_us": False,
-                    "finalize_us": False,
-                    "accel_us": False,
-                },
-            )
-            try:
-                impl = ImplType(sd["impl"])
-            except ValueError:
-                raise ModelError(f"{spath}.impl: expected one of cpu/hwa/cpu_hwa") from None
-            accel_us = sd.get("accel_us")
-            segments.append(
-                SegmentSpec(
-                    impl=impl,
-                    exec_us=_int_table(sd.get("exec_us", {}), f"{spath}.exec_us"),
-                    offload_us=_int_table(sd.get("offload_us", {}), f"{spath}.offload_us"),
-                    finalize_us=_int_table(sd.get("finalize_us", {}), f"{spath}.finalize_us"),
-                    accel_us=None if accel_us is None else _int(accel_us, f"{spath}.accel_us"),
-                )
-            )
-        tasks.append(
-            TaskSpec(
-                id=_str(td["id"], f"tasks[{i}].id"),
-                period_us=_int(td["period_us"], f"tasks[{i}].period_us"),
-                deadline_us=_int(td["deadline_us"], f"tasks[{i}].deadline_us"),
-                segments=tuple(segments),
-            )
-        )
-
-    chains = []
-    for i, c in enumerate(_list(top.get("chains", []), "chains")):
-        cpath = f"chains[{i}]"
-        cd = _take(c, cpath, {"id": True, "tasks": True})
-        links = _list(cd["tasks"], f"{cpath}.tasks")
-        ids = tuple(_str(x, f"{cpath}.tasks[{k}]") for k, x in enumerate(links))
-        chains.append(ChainSpec(id=_str(cd["id"], f"{cpath}.id"), tasks=ids))
-
-    return ProblemInstance(platform=platform, tasks=tuple(tasks), chains=tuple(chains))
+    return _read(ProblemInstance, doc, "$")
 
 
 def instance_to_dict(inst: ProblemInstance) -> dict:
-    def seg_dict(s: SegmentSpec) -> dict:
-        d: dict = {"impl": s.impl.value}
-        if not s.impl.must_accelerate:
-            d["exec_us"] = dict(s.exec_us)
-        if s.impl.may_accelerate:
-            d["offload_us"] = dict(s.offload_us)
-            d["finalize_us"] = dict(s.finalize_us)
-            d["accel_us"] = s.accel_us
-        return d
-
-    return {
-        "platform": {
-            "core_types": list(inst.platform.core_types),
-            "cores": [{"id": c.id, "type": c.type} for c in inst.platform.cores],
-            "accelerator": inst.platform.accelerator,
-        },
-        "tasks": [
-            {
-                "id": t.id,
-                "period_us": t.period_us,
-                "deadline_us": t.deadline_us,
-                "segments": [seg_dict(s) for s in t.segments],
-            }
-            for t in inst.tasks
-        ],
-        "chains": [{"id": c.id, "tasks": list(c.tasks)} for c in inst.chains],
-    }
+    return _write(inst)
 
 
 def instance_from_json(text: str) -> ProblemInstance:
@@ -500,29 +475,11 @@ def instance_to_json(inst: ProblemInstance) -> str:
 
 
 def assignment_from_dict(doc: dict) -> Assignment:
-    d = _take(doc, "$", {"core_of": True, "priority_of": True, "accelerated": True})
-    accelerated = {
-        str(t): frozenset(_int(j, f"accelerated.{t}") for j in _list(idxs, f"accelerated.{t}"))
-        for t, idxs in _object(d["accelerated"], "accelerated").items()
-    }
-    return Assignment(
-        core_of={
-            str(k): _str(v, f"core_of.{k}") for k, v in _object(d["core_of"], "core_of").items()
-        },
-        priority_of={
-            str(k): _int(v, f"priority_of.{k}")
-            for k, v in _object(d["priority_of"], "priority_of").items()
-        },
-        accelerated=accelerated,
-    )
+    return _read(Assignment, doc, "$")
 
 
 def assignment_to_dict(assign: Assignment) -> dict:
-    return {
-        "core_of": dict(sorted(assign.core_of.items())),
-        "priority_of": dict(sorted(assign.priority_of.items())),
-        "accelerated": {t: sorted(v) for t, v in sorted(assign.accelerated.items())},
-    }
+    return _write(assign)
 
 
 def assignment_from_json(text: str) -> Assignment:

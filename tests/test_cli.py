@@ -128,6 +128,21 @@ def test_analyze_unschedulable_exit_code(capsys, overloaded_files):
     assert json.loads(out)["schedulable"] is False
 
 
+def test_analyze_reports_response_time_objectives_without_chains(capsys, tmp_path):
+    tasks = [make_task("t1", 10_000, [seg_cpu(2_000)]), make_task("t2", 20_000, [seg_cpu(4_000)])]
+    inst_path = tmp_path / "chainless.json"
+    inst_path.write_text(instance_to_json(make_instance(tasks, n_cores=1)))
+    asg_path = tmp_path / "chainless_assignment.json"
+    asg_path.write_text(assignment_to_json(assign({"t1": "c0", "t2": "c0"}, {"t1": 2, "t2": 1})))
+    code, out, _ = run(
+        capsys, "analyze", "--instance", str(inst_path), "--assignment", str(asg_path),
+        "--policy", "rr",
+    )
+    assert code == 0
+    # Response over deadline: t1 2/10 ms, t2 8/20 ms; no chain, so no latency.
+    assert json.loads(out)["objectives"] == {"minmax-rt": 0.4, "minsum-rt": 0.6}
+
+
 def test_analyze_scaled_instance(capsys):
     code, out, _ = run(
         capsys,

@@ -1,11 +1,23 @@
 """Data model: validation, JSON round-trips, WCET scaling, builtin instance."""
 
+import hashlib
 import json
+import random
 from dataclasses import replace
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
-from helpers import assign, make_instance, make_task, seg_cpu, seg_hwa, seg_opt
+from helpers import (
+    assign,
+    make_instance,
+    make_task,
+    random_assignment,
+    random_instance,
+    seg_cpu,
+    seg_hwa,
+    seg_opt,
+)
 
 from hetsched.analysis import analyze, suspension_bounds
 from hetsched.bruteforce import best_assignment
@@ -22,7 +34,9 @@ from hetsched.model import (
     SegmentSpec,
     TaskSpec,
     Violation,
+    assignment_from_dict,
     assignment_from_json,
+    assignment_to_dict,
     assignment_to_json,
     builtin_waters,
     instance_from_dict,
@@ -202,8 +216,8 @@ def test_structural_violation_messages(tiny, breaks, path, message):
     assert Violation(path, message) in validate_instance(breaks(tiny))
 
 
-def _edited_doc(inst, path, value):
-    doc = instance_to_dict(inst)
+def _edited_doc(obj, path, value):
+    doc = instance_to_dict(obj) if isinstance(obj, ProblemInstance) else assignment_to_dict(obj)
     *parents, key = path
     node = doc
     for p in parents:
@@ -211,6 +225,11 @@ def _edited_doc(inst, path, value):
     node[key] = value
     return doc
 
+
+# A deployment of the ``tiny`` instance that offloads t2's segment.
+TINY_DEPLOYMENT = Assignment(
+    core_of={"t1": "c0", "t2": "c1"}, priority_of={"t1": 2, "t2": 1}, accelerated={"t2": {0}}
+)
 
 # Deeper than the interpreter's recursion limit lets ``json`` parse.
 DEEP_JSON = "[" * 100_000 + "]" * 100_000
@@ -225,6 +244,28 @@ READER_FAULTS = [
     ("unknown impl",
      lambda i: instance_from_dict(_edited_doc(i, ("tasks", 0, "segments", 0, "impl"), "gpu")),
      "tasks[0].segments[0].impl: expected one of cpu/hwa/cpu_hwa"),
+    ("core type is a number",
+     lambda i: instance_from_dict(_edited_doc(i, ("platform", "core_types", 0), 5)),
+     "platform.core_types[0]: expected a string"),
+    ("accelerator is a string",
+     lambda i: instance_from_dict(_edited_doc(i, ("platform", "accelerator"), "false")),
+     "platform.accelerator: expected true or false"),
+    ("chain link is a number",
+     lambda i: instance_from_dict(_edited_doc(i, ("chains", 0, "tasks", 0), 5)),
+     "chains[0].tasks[0]: expected a string"),
+    ("root lacks tasks",
+     lambda i: instance_from_dict({k: v for k, v in instance_to_dict(i).items() if k != "tasks"}),
+     "$: missing required key 'tasks'"),
+    ("root has an unknown key",
+     lambda i: instance_from_dict(_edited_doc(i, ("wcet",), 1)), "$: unknown keys ['wcet']"),
+    # A priority table is an object like a WCET table, but says so plainly.
+    ("priority_of is a number",
+     lambda i: assignment_from_dict(_edited_doc(TINY_DEPLOYMENT, ("priority_of",), 5)),
+     "priority_of: expected an object"),
+    # An offloaded index is named by its list, not by its position.
+    ("accelerated index is a string",
+     lambda i: assignment_from_dict(_edited_doc(TINY_DEPLOYMENT, ("accelerated", "t2", 0), "0")),
+     "accelerated.t2: expected an integer"),
     ("scale factor is a list", lambda i: scale_wcets(i, [1]),
      "unsupported scale factor type: list"),
     ("instance nested too deep", lambda i: instance_from_json(DEEP_JSON), "invalid JSON: "),
@@ -311,6 +352,21 @@ def test_boolean_period_or_deadline_is_rejected(tiny, key):
     doc["tasks"][0][key] = True
     with pytest.raises(ModelError, match=rf"tasks\[0\]\.{key}: expected an integer"):
         instance_from_dict(doc)
+
+
+# sha256 of every document below, concatenated in order.  A change to the
+# document format updates the recorded digest on purpose.
+JSON_DIGEST = json.loads((Path(__file__).parent / "data" / "json_digest.json").read_text())
+
+
+def test_json_text_matches_the_recorded_digest():
+    rng = random.Random(2019)
+    texts = [instance_to_json(builtin_waters()), assignment_to_json(waters_published_assignment())]
+    for _ in range(200):
+        inst = random_instance(rng)
+        texts += [instance_to_json(inst), assignment_to_json(random_assignment(rng, inst))]
+    digest = hashlib.sha256("".join(texts).encode()).hexdigest()
+    assert (len(texts), digest) == (JSON_DIGEST["documents"], JSON_DIGEST["sha256"])
 
 
 def test_load_instance_from_file(tmp_path, tiny):

@@ -442,6 +442,10 @@ def test_unknown_tie_break_rejected(tiny):
         ({"time_limit": -1}, "time_limit"),
         ({"time_limit": math.nan}, "time_limit"),
         ({"time_limit": math.nan, "backend": "false {lp}"}, "time_limit"),
+        ({"time_limit": True}, "time_limit"),
+        ({"mip_gap": False}, "mip_gap"),
+        ({"time_limit": "1"}, "time_limit"),
+        ({"mip_gap": "0.1"}, "mip_gap"),
     ],
     ids=[
         "unknown tie_break",
@@ -451,6 +455,10 @@ def test_unknown_tie_break_rejected(tiny):
         "negative time limit",
         "nan time limit",
         "nan time limit with a command",
+        "boolean time limit",
+        "boolean gap",
+        "string time limit",
+        "string gap",
     ],
 )
 def test_invalid_options_are_model_errors(tiny, options, message):
