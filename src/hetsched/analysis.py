@@ -775,22 +775,25 @@ def evaluate_objective(report: AnalysisReport, objective: str) -> Fraction | Non
     )
 
 
-def conservative_objective(
+def conservative_score(
     ci: CompiledInstance,
     core: Sequence[int],
     prio: Sequence[int],
     views: Sequence[SelfSuspendingView],
     policy: str,
     objective: str,
-) -> Fraction | None:
-    """``evaluate_objective(analyze(..., mode=CONSERVATIVE), objective)`` of
-    a deployment given by index, as :meth:`CompiledInstance.deploy` returns
-    it, without building the report.  The names are not checked."""
+) -> tuple[int, Fraction | None]:
+    """The number of tasks the conservative analysis gives no WCRT, and
+    ``evaluate_objective(analyze(..., mode=CONSERVATIVE), objective)``, of a
+    deployment given by index, as :meth:`CompiledInstance.deploy` returns
+    it, without building the report.  The value is None unless no task
+    misses.  The names are not checked."""
     _, wcrt = _wcrts(ci, core, prio, views, policy, CONSERVATIVE)
-    if None in wcrt:
-        return None
+    misses = wcrt.count(None)
+    if misses:
+        return misses, None
     latency = list(_chain_latencies(ci, wcrt).values())
-    return _objective_value(objective, wcrt, ci.deadline, latency)
+    return 0, _objective_value(objective, wcrt, ci.deadline, latency)
 
 
 def _objective_value(

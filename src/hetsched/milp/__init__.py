@@ -12,7 +12,8 @@ import time
 from dataclasses import dataclass
 from fractions import Fraction
 
-from hetsched.analysis import AnalysisReport
+from hetsched.analysis import MINMAX_LAT, MINSUM_LAT, AnalysisReport
+from hetsched.bruteforce import local_search
 from hetsched.milp.backends import (
     ENV_SOLVER_CMD,
     ERROR,
@@ -28,6 +29,7 @@ from hetsched.milp.backends import (
 )
 from hetsched.milp.builder import build_milp
 from hetsched.milp.decode import (
+    CLAIM_TOLERANCE,
     SolutionDecodeError,
     VerificationResult,
     decode_assignment,
@@ -55,6 +57,7 @@ class OptimizeResult:
     nodes: int | None = None  # branch-and-bound nodes over every solve; None if one reported none
     dual_bound: float | None = None  # the solver's proven bound on solver_objective
     resolved_without_presolve: bool = False  # an infeasible or uncertified proof was re-solved
+    incumbent: Fraction | None = None  # the local search's objective; None if it found none
 
     @property
     def ok(self) -> bool:
@@ -75,6 +78,7 @@ class OptimizeResult:
             "nodes": self.nodes,
             "dual_bound": self.dual_bound,
             "resolved_without_presolve": self.resolved_without_presolve,
+            "incumbent": None if self.incumbent is None else float(self.incumbent),
         }
 
 
@@ -114,15 +118,29 @@ def optimize(
     the conservative analysis, so a successful result is certified
     end-to-end rather than taken on the solver's word.
 
-    When the built-in backend answers ``infeasible``, or proves at a zero
-    gap an optimum that :func:`verify_solution` does not certify, the model
-    is solved once more with HiGHS's presolve off, and a deployment found
-    that way is reported (``resolved_without_presolve``).  On small seeded
-    instances, presolve occasionally cut off the optimum or every feasible
-    point, and each such case seen solved right without it.  The re-solve is
-    the control experiment on the same model, so a fault of the encoding
-    still shows.  Only the built-in backend is given the gap, so only its
-    ``optimal`` counts as a proof.
+    Before the solve, :func:`~hetsched.bruteforce.local_search` looks for a
+    schedulable deployment; its objective is the result's ``incumbent``.  For
+    a latency objective, whose values are whole microseconds, the first
+    solve of the built-in backend gets ``objective_bound`` half a
+    microsecond above it, which cuts off only deployments worse than one
+    already known.  The response-time objectives are ratios and get no
+    bound.  A deployment HiGHS returns is the one reported, so the search
+    stays a check on the MILP route, not a part of it.
+
+    When the built-in backend answers ``infeasible``, proves at a zero gap an
+    optimum that :func:`verify_solution` does not certify, or proves one
+    above the incumbent, the model is solved once more with HiGHS's presolve
+    off and without the bound, and a deployment found that way is reported
+    (``resolved_without_presolve``).  On small seeded instances, presolve
+    occasionally cut off the optimum or every feasible point, and each such
+    case seen solved right without it.  The re-solve is the control
+    experiment on the same model, so a fault of the encoding still shows: a
+    proof the incumbent still beats is not verified.  Only the built-in
+    backend is given the gap, so only its ``optimal`` counts as a proof.  No
+    answer is ``infeasible`` once the search has found a deployment; it is an
+    ``error`` instead.  A solve that stops without a deployment (a time
+    limit) reports the search's deployment as ``feasible``, verified like
+    the solver's.
 
     ``mip_gap`` is None or a finite number >= 0, and ``time_limit`` None or
     a number >= 0 (``inf`` is no limit), neither a ``bool``; any other
@@ -144,6 +162,11 @@ def optimize(
         backend = get_backend(backend)
 
     builtin = isinstance(backend, ScipyBackend)
+    incumbent = local_search(inst, policy, objective)
+    known = incumbent.objective
+    first = {}  # options of the first solve only
+    if builtin and known is not None and objective in (MINMAX_LAT, MINSUM_LAT):
+        first["objective_bound"] = float(known) + 0.5
     nodes: list[int | None] = []  # as each solve reports them
 
     def solve(**options) -> SolveResult:
@@ -154,15 +177,22 @@ def optimize(
     def proven(res: SolveResult) -> bool:
         return builtin and res.status == OPTIMAL and mip_gap == 0
 
+    def beaten(res: SolveResult) -> bool:
+        """A zero-gap proof above the incumbent."""
+        if known is None or not proven(res):
+            return False
+        return res.objective > float(known) + CLAIM_TOLERANCE * max(1.0, float(known))
+
     def attempt(**options):
         """The main solve and, if it found a deployment, the tie-break
-        re-solve, the deployment and its verification."""
+        re-solve (without a bound), the deployment and its verification."""
         res = solve(**options)
         if not res.has_solution:
             return res, res.status, None, None
         status, values = res.status, res.values
         if tie_break == MAX_ACCELERATION and res.objective is not None:
             _pin_and_maximize_acceleration(model, res.objective)
+            options.pop("objective_bound", None)
             res2 = solve(**options)
             if res2.has_solution:
                 values = res2.values
@@ -173,8 +203,10 @@ def optimize(
         )
         return res, status, assignment, verification
 
-    res, status, assignment, verification = attempt()
-    resolved = (builtin and status == INFEASIBLE) or (proven(res) and not verification.ok)
+    res, status, assignment, verification = attempt(**first)
+    resolved = (builtin and status == INFEASIBLE) or (
+        proven(res) and (not verification.ok or beaten(res))
+    )
     if resolved:
         # The tie-break pinned the first model's objective to the untrusted claim.
         if tie_break is not None:
@@ -183,20 +215,31 @@ def optimize(
         if retry[-1] is not None:  # a re-solve without a deployment keeps the first answer
             res, status, assignment, verification = retry
 
+    message = (verification is not None and verification.message) or res.message
+    if beaten(res):
+        message = f"solver proved {res.objective} optimal but the local search found {float(known)}"
+    elif known is not None and status == INFEASIBLE:
+        status = ERROR
+        message = f"solver answered infeasible but the local search found {float(known)}"
+    elif known is not None and status == NO_SOLUTION:
+        status, assignment = FEASIBLE, incumbent.assignment
+        verification = verify_solution(inst, assignment, policy, objective)
+        message = "solver stopped without a deployment; the local search's is reported"
     return OptimizeResult(
         status=status,
         objective=None if verification is None else verification.objective,
         solver_objective=res.objective,
         assignment=assignment,
         report=None if verification is None else verification.report,
-        verified=verification is not None and verification.ok,
+        verified=verification is not None and verification.ok and not beaten(res),
         gap=res.gap,
         runtime_s=time.perf_counter() - start,
         model_stats=stats,
-        message=(verification is not None and verification.message) or res.message,
+        message=message,
         nodes=None if None in nodes else sum(nodes),
         dual_bound=res.dual_bound,
         resolved_without_presolve=resolved,
+        incumbent=known,
     )
 
 

@@ -115,7 +115,21 @@ def _stdout_to_stderr():
 
 
 class ScipyBackend:
-    """In-process HiGHS via scipy.optimize.milp."""
+    """In-process HiGHS via scipy.optimize.milp.
+
+    ``objective_bound`` reaches HiGHS's option of that name verbatim, as the
+    feasibility-jump switch does: HiGHS prunes every node whose bound is not
+    below it, so a solve given a bound above a known deployment's objective
+    searches only for deployments at least as good.  It is not a proof of
+    anything: HiGHS has been seen to answer ``optimal`` above a bound set
+    below the optimum, so an ``infeasible`` answer under a bound says
+    nothing either.  ``optimize`` gives it only to latency objectives, whose
+    values are whole microseconds, so half a microsecond above a known value
+    cuts off only worse deployments.  The response-time objectives are
+    ratios: their bound would sit within HiGHS's tolerances of the optimum,
+    and on WATERS a near-optimal one slowed the rr and npfp min-max
+    response-time solves.
+    """
 
     def solve(
         self,
@@ -123,6 +137,7 @@ class ScipyBackend:
         time_limit: float | None = None,
         mip_gap: float | None = 0.0,
         presolve: bool = True,
+        objective_bound: float | None = None,
     ) -> SolveResult:
         import numpy as np
         from scipy.optimize import Bounds, LinearConstraint, milp
@@ -144,6 +159,8 @@ class ScipyBackend:
             options["time_limit"] = float(time_limit)
         if mip_gap is not None:
             options["mip_rel_gap"] = float(mip_gap)
+        if objective_bound is not None:
+            options["objective_bound"] = float(objective_bound)
 
         with warnings.catch_warnings(), _stdout_to_stderr():
             warnings.filterwarnings(

@@ -496,6 +496,8 @@ def assignment_to_json(assign: Assignment) -> str:
 
 
 def _as_fraction(factor) -> Fraction:
+    if isinstance(factor, bool):  # an int that would read as the factor 0 or 1
+        raise ModelError("unsupported scale factor type: bool")
     if isinstance(factor, Fraction):
         return factor
     if isinstance(factor, int):

@@ -123,6 +123,8 @@ def simulate(
         raise ModelError(
             f"horizon must be a positive whole number of microseconds, got {horizon_us!r}"
         )
+    if seed is not None and (isinstance(seed, bool) or not isinstance(seed, int)):
+        raise ModelError(f"seed must be a whole number, got {seed!r}")
     # The compiled view rejects a malformed instance or deployment.  The
     # simulator reads none of its analysis tables, so that it stays
     # independent of the analysis.

@@ -1,4 +1,5 @@
-"""Exhaustive search: enumeration order, counting, and agreement with the MILP."""
+"""Exhaustive search: enumeration order, counting, and agreement with the MILP;
+the local search against it."""
 
 import dataclasses
 import math
@@ -12,15 +13,21 @@ from hetsched.analysis import (
     CONSERVATIVE,
     MINMAX_LAT,
     MINMAX_RT,
+    NO_CONTENTION,
     NPFP,
     OBJECTIVES,
     POLICIES,
     analyze,
     evaluate_objective,
 )
-from hetsched.bruteforce import best_assignment, enumerate_assignments, search_space_size
+from hetsched.bruteforce import (
+    best_assignment,
+    enumerate_assignments,
+    local_search,
+    search_space_size,
+)
 from hetsched.milp import optimize
-from hetsched.model import ChainSpec, ModelError, validate_assignment
+from hetsched.model import ChainSpec, ModelError, builtin_waters, validate_assignment
 
 
 @pytest.fixture
@@ -60,6 +67,13 @@ def test_forced_segments_stay_accelerated():
 def test_limit_guards_against_exponential_blowup(duo):
     with pytest.raises(ModelError, match="limit"):
         best_assignment(duo, "rr", "minmax-lat", limit=10)
+
+
+@pytest.mark.parametrize("limit", [True, 1e6, "1000"], ids=["bool", "float", "string"])
+def test_limit_must_be_a_whole_number(duo, limit):
+    # True used to read as the limit 1, and a float or string as a size.
+    with pytest.raises(ModelError, match="limit must be a whole number"):
+        best_assignment(duo, "rr", "minmax-lat", limit=limit)
 
 
 def test_finds_the_known_optimum(duo):
@@ -202,3 +216,56 @@ def test_five_tasks_on_two_cores_agree_with_the_milp_route(policy, objective):
     brute = best_assignment(inst, policy, objective)
     assert milp.ok
     assert milp.objective == brute.objective
+
+
+def _local_search_corpus():
+    """Every policy and objective of 30 draws of ``random.Random(2026)``, at
+    most 3 tasks on 2 cores, loaded up to 1.4."""
+    rng = random.Random(2026)
+    for _ in range(30):
+        inst = random_instance(rng, util=(0.5, 1.4))
+        for policy in POLICIES:
+            for objective in OBJECTIVES:
+                yield inst, policy, objective
+
+
+def test_local_search_values_its_deployment_and_never_beats_the_exhaustive_search():
+    solvable = matched = 0
+    for inst, policy, objective in _local_search_corpus():
+        res = local_search(inst, policy, objective)
+        assert res == local_search(inst, policy, objective)  # deterministic
+        ref = best_assignment(inst, policy, objective)
+        solvable += ref.objective is not None
+        if res.assignment is None:
+            assert res.objective is None
+        else:
+            report = analyze(inst, res.assignment, policy, mode=CONSERVATIVE)
+            assert res.objective == evaluate_objective(report, objective)
+            assert res.objective >= ref.objective
+            matched += res.objective == ref.objective
+        assert 0 < res.evaluated <= hetsched.bruteforce.LOCAL_SEARCH_EVALUATIONS
+        assert res.feasible <= res.evaluated
+    # 290 of the 320 searches whose instance has a deployment reach its optimum.
+    assert matched >= 0.85 * solvable
+
+
+def test_local_search_stops_at_its_evaluation_cap(monkeypatch):
+    # WATERS under nocontention descends for 253 deployments before it stops.
+    waters = builtin_waters()
+    assert local_search(waters, NO_CONTENTION, MINMAX_LAT).evaluated == 253
+    monkeypatch.setattr(hetsched.bruteforce, "LOCAL_SEARCH_EVALUATIONS", 40)
+    res = local_search(waters, NO_CONTENTION, MINMAX_LAT)
+    assert res.evaluated == 40
+
+
+def test_local_search_reports_no_deployment_when_it_ends_on_a_miss():
+    overloaded = make_instance([make_task("t", 10_000, [seg_cpu(12_000)])])
+    res = local_search(overloaded, "rr", "minmax-rt")
+    assert (res.objective, res.assignment, res.feasible) == (None, None, 0)
+
+
+def test_local_search_rejects_unknown_names(duo):
+    with pytest.raises(ModelError, match="unknown policy"):
+        local_search(duo, "fifo", "minmax-lat")
+    with pytest.raises(ModelError, match="unknown objective"):
+        local_search(duo, "rr", "makespan")

@@ -229,6 +229,29 @@ def test_optimize_undecided_or_unreadable_answer_is_an_error(capsys, tmp_path, d
     assert json.loads(out)["status"] == "error"
 
 
+def test_optimize_infeasible_answer_beside_a_known_deployment_is_an_error(
+    capsys, tmp_path, duo_files
+):
+    # The local search found a deployment, so the solver's "infeasible" is
+    # wrong, and the JSON names the search's value.
+    inst, _ = duo_files
+    script = tmp_path / "solver.py"
+    script.write_text("import sys\nopen(sys.argv[1], 'w').write('Status: Infeasible\\n')\n")
+    code, out, _ = run(
+        capsys,
+        "optimize",
+        "--instance", inst,
+        "--policy", "rr",
+        "--objective", "minmax-lat",
+        "--backend", f"{sys.executable} {script} {{sol}} {{lp}}",
+    )
+    assert code == 1
+    doc = json.loads(out)
+    assert doc["status"] == "error"
+    assert doc["incumbent"] == 29_500.0
+    assert "local search found 29500" in doc["message"]
+
+
 def test_optimize_non_utf8_solution_file_is_an_error(capsys, tmp_path, duo_files):
     inst, _ = duo_files
     script = tmp_path / "solver.py"

@@ -268,6 +268,9 @@ READER_FAULTS = [
      "accelerated.t2: expected an integer"),
     ("scale factor is a list", lambda i: scale_wcets(i, [1]),
      "unsupported scale factor type: list"),
+    # A bool is an int, and True read as the factor 1.
+    ("scale factor is a bool", lambda i: scale_wcets(i, True),
+     "unsupported scale factor type: bool"),
     ("instance nested too deep", lambda i: instance_from_json(DEEP_JSON), "invalid JSON: "),
     ("assignment nested too deep", lambda i: assignment_from_json(DEEP_JSON), "invalid JSON: "),
 ]

@@ -13,10 +13,14 @@ from helpers import make_instance, make_task, oracle_corpus_instance, seg_cpu, s
 
 import hetsched.bruteforce
 import hetsched.milp
+from hetsched.analysis import MINMAX_LAT, MINSUM_LAT, OBJECTIVES
 from hetsched.bruteforce import best_assignment
 from hetsched.milp import (
+    ERROR,
+    FEASIBLE,
     INFEASIBLE,
     MAX_ACCELERATION,
+    NO_SOLUTION,
     OPTIMAL,
     ExternalBackend,
     ScipyBackend,
@@ -198,9 +202,15 @@ class _InflatedClaimBackend(ScipyBackend):
         self.presolve_only = presolve_only
         self.presolve = []
 
-    def solve(self, model, time_limit=None, mip_gap=0.0, presolve=True):
+    def solve(self, model, time_limit=None, mip_gap=0.0, presolve=True, objective_bound=None):
         self.presolve.append(presolve)
-        res = super().solve(model, time_limit=time_limit, mip_gap=mip_gap, presolve=presolve)
+        res = super().solve(
+            model,
+            time_limit=time_limit,
+            mip_gap=mip_gap,
+            presolve=presolve,
+            objective_bound=objective_bound,
+        )
         if presolve or not self.presolve_only:
             res.objective += 1.0
         return res
@@ -258,11 +268,17 @@ class _PresolveInfeasibleBackend(ScipyBackend):
     def __init__(self):
         self.presolve = []
 
-    def solve(self, model, time_limit=None, mip_gap=0.0, presolve=True):
+    def solve(self, model, time_limit=None, mip_gap=0.0, presolve=True, objective_bound=None):
         self.presolve.append(presolve)
         if presolve:
             return SolveResult(status=INFEASIBLE)
-        return super().solve(model, time_limit=time_limit, mip_gap=mip_gap, presolve=presolve)
+        return super().solve(
+            model,
+            time_limit=time_limit,
+            mip_gap=mip_gap,
+            presolve=presolve,
+            objective_bound=objective_bound,
+        )
 
 
 def test_infeasible_answer_is_solved_once_more_without_presolve(tiny):
@@ -282,6 +298,94 @@ def test_confirmed_infeasibility_stays_infeasible():
     assert backend.presolve == [True, False]
     assert res.status == INFEASIBLE and not res.ok
     assert res.resolved_without_presolve
+
+
+class _RecordingBackend(ScipyBackend):
+    """HiGHS, recording the presolve setting and the objective bound of every
+    solve.  With ``answer``, every solve returns that instead, without a
+    deployment; with ``first_core``, HiGHS solves the model with every task
+    held on the first core."""
+
+    def __init__(self, answer=None, first_core=False):
+        self.answer = answer
+        self.first_core = first_core
+        self.presolve = []
+        self.bounds = []
+
+    def solve(self, model, time_limit=None, mip_gap=0.0, presolve=True, objective_bound=None):
+        self.presolve.append(presolve)
+        self.bounds.append(objective_bound)
+        if self.answer is not None:
+            return SolveResult(status=self.answer, message="stand-in answer")
+        if self.first_core:
+            for row in model.meta["x"]:
+                model.col_lower[row[0]] = 1.0
+        return super().solve(
+            model,
+            time_limit=time_limit,
+            mip_gap=mip_gap,
+            presolve=presolve,
+            objective_bound=objective_bound,
+        )
+
+
+@pytest.mark.parametrize("objective", OBJECTIVES)
+def test_only_the_first_latency_solve_is_bounded(tiny, objective):
+    # The incumbent is the optimum here, so the bound lets the optimum
+    # through; the tie-break re-solve runs without it.
+    backend = _RecordingBackend()
+    res = optimize(tiny, "rr", objective, backend=backend, tie_break=MAX_ACCELERATION)
+    assert res.ok and res.status == OPTIMAL
+    assert res.incumbent == res.objective
+    latency = objective in (MINMAX_LAT, MINSUM_LAT)
+    assert backend.bounds == [29_500.5 if latency else None, None]
+    assert backend.presolve == [True, True]
+
+
+def test_a_proof_the_incumbent_beats_is_not_verified(tiny):
+    # Held on one core, HiGHS proves an optimum whose deployment analyzes to
+    # the claim but which the local search beats: the proof is solved once
+    # more without presolve, and still beaten, it stays unverified.
+    backend = _RecordingBackend(first_core=True)
+    res = optimize(tiny, "rr", "minmax-rt", backend=backend)
+    assert backend.presolve == [True, False]
+    assert res.status == OPTIMAL and res.resolved_without_presolve
+    assert res.incumbent == Fraction(2, 5)
+    assert res.objective > res.incumbent
+    assert res.solver_objective == pytest.approx(float(res.objective))
+    assert not res.verified and not res.ok
+    assert "local search found 0.4" in res.message
+
+
+def test_infeasible_twice_is_an_error_once_the_search_found_a_deployment(tiny):
+    backend = _RecordingBackend(answer=INFEASIBLE)
+    res = optimize(tiny, "rr", "minmax-lat", backend=backend)
+    assert backend.presolve == [True, False]
+    assert backend.bounds == [29_500.5, None]
+    assert res.status == ERROR and not res.ok
+    assert res.resolved_without_presolve
+    assert res.assignment is None and res.incumbent == 29_500
+    assert "local search found 29500" in res.message
+    # Without a schedulable deployment, infeasible stays infeasible.
+    overloaded = make_instance([make_task("t", 10_000, [seg_cpu(12_000)])])
+    res = optimize(overloaded, "rr", "minmax-rt", backend=_RecordingBackend(answer=INFEASIBLE))
+    assert res.status == INFEASIBLE and res.incumbent is None
+
+
+def test_a_solve_stopped_without_a_deployment_reports_the_incumbent(tiny):
+    backend = _RecordingBackend(answer=NO_SOLUTION)
+    res = optimize(tiny, "rr", "minmax-lat", backend=backend, time_limit=0.001)
+    assert backend.presolve == [True]
+    assert res.status == FEASIBLE
+    assert res.ok and res.verified
+    assert res.objective == res.incumbent == 29_500
+    assert res.solver_objective is None
+    assert res.report.schedulable
+    assert res.assignment.accelerated_of("t2") == frozenset({0})
+    assert res.to_dict()["incumbent"] == 29_500.0
+    overloaded = make_instance([make_task("t", 10_000, [seg_cpu(12_000)])])
+    res = optimize(overloaded, "rr", "minmax-rt", backend=_RecordingBackend(answer=NO_SOLUTION))
+    assert res.status == NO_SOLUTION and res.assignment is None
 
 
 class _LooseExternalBackend(ExternalBackend):
@@ -403,6 +507,9 @@ def test_search_reaches_the_analysis_the_tracer_wraps(tiny, monkeypatch):
     counts.clear()
     overloaded = make_instance([make_task("t", 10_000, [seg_cpu(12_000)])])
     assert best_assignment(overloaded, "rr", "minmax-rt").assignment is None
+    assert counts["analyze"] == 0
+    # optimize's local search calls no analyze at all.
+    assert optimize(tiny, "rr", "minmax-lat").ok
     assert counts["analyze"] == 0
 
 

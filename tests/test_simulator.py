@@ -200,6 +200,14 @@ def test_rejects_a_horizon_that_is_not_a_positive_integer(horizon):
         simulate(inst, assign({"t": "c0"}, {"t": 1}), "rr", horizon_us=horizon)
 
 
+@pytest.mark.parametrize("seed", [True, 1.5, "x"])
+def test_rejects_a_seed_that_is_not_an_integer(seed):
+    t = make_task("t", 10_000, [seg_cpu(1_000)])
+    inst = make_instance([t], n_cores=1)
+    with pytest.raises(ModelError, match="seed"):
+        simulate(inst, assign({"t": "c0"}, {"t": 1}), "rr", seed=seed)
+
+
 def test_validator_refuses_an_unknown_policy():
     with pytest.raises(ModelError, match="policy"):
         validate_trace([], "bogus")
