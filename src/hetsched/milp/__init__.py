@@ -29,9 +29,9 @@ from hetsched.milp.backends import (
 )
 from hetsched.milp.builder import build_milp
 from hetsched.milp.decode import (
-    CLAIM_TOLERANCE,
     SolutionDecodeError,
     VerificationResult,
+    claim_limit,
     decode_assignment,
     verify_solution,
 )
@@ -40,6 +40,14 @@ from hetsched.milp.lpwriter import write_lp, write_lp_file
 from hetsched.model import Assignment, ModelError, ProblemInstance, assignment_to_dict
 
 MAX_ACCELERATION = "max-acceleration"
+
+# An rt objective weighs a microsecond of task i's response time by 1/D_i,
+# which from a deadline of 10**7 us on is no longer above HiGHS's default dual
+# feasibility tolerance of 1e-7, so HiGHS's rt values are not exact there.  On
+# such instances a bound at the incumbent cut off every deployment (the bounded
+# solve and its presolve-off re-solve both answered infeasible), so the rt
+# solves of an instance with a deadline this long get no bound.
+RT_BOUND_DEADLINE_LIMIT = 10**7
 
 
 @dataclass(frozen=True)
@@ -123,9 +131,13 @@ def optimize(
     a latency objective, whose values are whole microseconds, the first
     solve of the built-in backend gets ``objective_bound`` half a
     microsecond above it, which cuts off only deployments worse than one
-    already known.  The response-time objectives are ratios and get no
-    bound.  A deployment HiGHS returns is the one reported, so the search
-    stays a check on the MILP route, not a part of it.
+    already known.  For a response-time objective, a ratio, the bound is
+    the incumbent plus :data:`~hetsched.milp.decode.CLAIM_TOLERANCE` of its
+    size (:func:`~hetsched.milp.decode.claim_limit`), the threshold above
+    which a proof counts as beaten; it is left off when a deadline reaches
+    :data:`RT_BOUND_DEADLINE_LIMIT`.  A deployment HiGHS returns is the one
+    reported, so the search stays a check on the MILP route, not a part of
+    it.
 
     When the built-in backend answers ``infeasible``, proves at a zero gap an
     optimum that :func:`verify_solution` does not certify, or proves one
@@ -165,8 +177,11 @@ def optimize(
     incumbent = local_search(inst, policy, objective)
     known = incumbent.objective
     first = {}  # options of the first solve only
-    if builtin and known is not None and objective in (MINMAX_LAT, MINSUM_LAT):
-        first["objective_bound"] = float(known) + 0.5
+    if builtin and known is not None:
+        if objective in (MINMAX_LAT, MINSUM_LAT):
+            first["objective_bound"] = float(known) + 0.5
+        elif max(inst.compiled.deadline) < RT_BOUND_DEADLINE_LIMIT:
+            first["objective_bound"] = claim_limit(float(known))
     nodes: list[int | None] = []  # as each solve reports them
 
     def solve(**options) -> SolveResult:
@@ -179,9 +194,7 @@ def optimize(
 
     def beaten(res: SolveResult) -> bool:
         """A zero-gap proof above the incumbent."""
-        if known is None or not proven(res):
-            return False
-        return res.objective > float(known) + CLAIM_TOLERANCE * max(1.0, float(known))
+        return known is not None and proven(res) and res.objective > claim_limit(float(known))
 
     def attempt(**options):
         """The main solve and, if it found a deployment, the tie-break

@@ -38,8 +38,9 @@ solve: every caller, not only the command line, keeps standard output for
 its own results.  Switching HiGHS's ``output_flag`` off does not replace the
 redirect: with ``"output_flag": False`` passed and the redirect removed,
 ``HighsMipSolverData::transformNewIntegerFeasibleSolution tmpSolver.run();``
-still reaches standard output on ``tests/data/solver_noise.json`` (scipy
-1.17.1, HiGHS 1.12.0).
+still reaches standard output while ``optimize`` solves
+``tests/data/solver_noise.json`` under nocontention min-max rt (scipy 1.17.1,
+HiGHS 1.12.0).
 """
 
 from __future__ import annotations
@@ -123,12 +124,12 @@ class ScipyBackend:
     searches only for deployments at least as good.  It is not a proof of
     anything: HiGHS has been seen to answer ``optimal`` above a bound set
     below the optimum, so an ``infeasible`` answer under a bound says
-    nothing either.  ``optimize`` gives it only to latency objectives, whose
-    values are whole microseconds, so half a microsecond above a known value
-    cuts off only worse deployments.  The response-time objectives are
-    ratios: their bound would sit within HiGHS's tolerances of the optimum,
-    and on WATERS a near-optimal one slowed the rr and npfp min-max
-    response-time solves.
+    nothing either.  ``optimize`` gives a latency solve, whose values are
+    whole microseconds, a bound half a microsecond above a known value, so
+    it cuts off only worse deployments.  A response-time solve, whose values
+    are ratios, gets the known value plus the relative tolerance within
+    which a claim is taken to match it, and only while every deadline keeps
+    the objective's weights above HiGHS's dual feasibility tolerance.
     """
 
     def solve(

@@ -16,6 +16,11 @@ from hetsched.model import Assignment, ModelError, ProblemInstance, raise_invali
 CLAIM_TOLERANCE = 1e-6
 
 
+def claim_limit(value: float) -> float:
+    """The largest claim that :data:`CLAIM_TOLERANCE` lets sit above ``value``."""
+    return value + CLAIM_TOLERANCE * max(1.0, abs(value))
+
+
 class SolutionDecodeError(ModelError):
     """The solver returned values that do not round to a valid deployment."""
 

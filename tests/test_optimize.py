@@ -13,7 +13,7 @@ from helpers import make_instance, make_task, oracle_corpus_instance, seg_cpu, s
 
 import hetsched.bruteforce
 import hetsched.milp
-from hetsched.analysis import MINMAX_LAT, MINSUM_LAT, OBJECTIVES
+from hetsched.analysis import MINMAX_LAT, MINMAX_RT, MINSUM_LAT, MINSUM_RT, OBJECTIVES
 from hetsched.bruteforce import best_assignment
 from hetsched.milp import (
     ERROR,
@@ -28,6 +28,7 @@ from hetsched.milp import (
     optimize,
 )
 from hetsched.milp.builder import COEFFICIENT_LIMIT, encoding_magnitude
+from hetsched.milp.decode import CLAIM_TOLERANCE
 from hetsched.model import ChainSpec, ModelError, instance_from_dict, validate_instance
 
 # Small instances on which HiGHS's presolve cut off the optimum.  On the first
@@ -330,7 +331,7 @@ class _RecordingBackend(ScipyBackend):
 
 
 @pytest.mark.parametrize("objective", OBJECTIVES)
-def test_only_the_first_latency_solve_is_bounded(tiny, objective):
+def test_only_the_first_solve_is_bounded(tiny, objective):
     # The incumbent is the optimum here, so the bound lets the optimum
     # through; the tie-break re-solve runs without it.
     backend = _RecordingBackend()
@@ -338,8 +339,24 @@ def test_only_the_first_latency_solve_is_bounded(tiny, objective):
     assert res.ok and res.status == OPTIMAL
     assert res.incumbent == res.objective
     latency = objective in (MINMAX_LAT, MINSUM_LAT)
-    assert backend.bounds == [29_500.5 if latency else None, None]
+    known = float(res.incumbent)
+    rt_bound = known + CLAIM_TOLERANCE * max(1.0, known)
+    assert backend.bounds == [29_500.5 if latency else rt_bound, None]
     assert backend.presolve == [True, True]
+
+
+@pytest.mark.parametrize("objective", [MINMAX_RT, MINSUM_RT])
+@pytest.mark.parametrize("wcet, bounded", [(2_499_999, True), (2_500_000, False)])
+def test_rt_solves_are_bounded_only_below_a_ten_second_deadline(objective, wcet, bounded):
+    # From a deadline of 10**7 us on, an rt objective weighs a microsecond no
+    # more than HiGHS's dual feasibility tolerance, so the solve gets no bound.
+    inst = _twin(wcet)
+    assert (max(inst.compiled.deadline) < 10**7) == bounded
+    backend = _RecordingBackend()
+    res = optimize(inst, "rr", objective, backend=backend)
+    assert res.ok and res.status == OPTIMAL
+    known = float(res.incumbent)
+    assert backend.bounds[0] == (known + CLAIM_TOLERANCE * max(1.0, known) if bounded else None)
 
 
 def test_a_proof_the_incumbent_beats_is_not_verified(tiny):
@@ -415,13 +432,13 @@ def test_external_optimal_is_not_a_zero_gap_proof(tiny):
 
 def test_library_optimize_keeps_solver_noise_off_stdout():
     # HiGHS writes "transformNewIntegerFeasibleSolution" to file descriptor 1
-    # while solving this instance (the benchmark's SmallOracle(2).ops[230]).
+    # while solving this instance (the benchmark's SmallOracle(6).ops[238]).
     script = (
         "import sys\n"
         "from hetsched.milp import optimize\n"
         "from hetsched.model import instance_from_json\n"
         "inst = instance_from_json(open(sys.argv[1]).read())\n"
-        "sys.exit(0 if optimize(inst, 'rr', 'minmax-rt').ok else 1)\n"
+        "sys.exit(0 if optimize(inst, 'nocontention', 'minmax-rt').ok else 1)\n"
     )
     proc = subprocess.run(
         [sys.executable, "-c", script, str(DATA / "solver_noise.json")],

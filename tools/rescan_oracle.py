@@ -6,6 +6,8 @@ instances of ``bench/gen.py``) is solved by ``optimize`` and searched by
 each objective the scan prints:
 
 * ``solves``: the operations;
+* ``incumbent``: results with an incumbent, for which the local search
+  found a schedulable deployment;
 * ``re-solves``: results with ``resolved_without_presolve``;
 * ``refuted``: first solves that proved an optimum above the local search's
   incumbent, each of which ``optimize`` re-solves;
@@ -13,7 +15,9 @@ each objective the scan prints:
   (``checks.presolve_fault``);
 * ``disagree``: operations ``checks.check_oracle`` finds wrong, or failed
   (a status other than ``optimal``, or ``infeasible`` where brute force finds
-  a deployment).
+  a deployment);
+* ``optimize s``: the sum of the results' ``runtime_s``, so a change to how
+  the solves are bounded can be timed over the scan.
 
 Each presolve fault and disagreement is also printed on standard error.  The
 scan reads the benchmark's modules and edits none of them.  Run it from the
@@ -38,9 +42,9 @@ from workloads import SmallOracle  # noqa: E402
 from hetsched.analysis import OBJECTIVES  # noqa: E402
 from hetsched.bruteforce import best_assignment  # noqa: E402
 from hetsched.milp import OPTIMAL, ScipyBackend, optimize  # noqa: E402
-from hetsched.milp.decode import CLAIM_TOLERANCE  # noqa: E402
+from hetsched.milp.decode import claim_limit  # noqa: E402
 
-COLUMNS = ("solves", "re-solves", "refuted", "presolve", "disagree")
+COLUMNS = ("solves", "incumbent", "re-solves", "refuted", "presolve", "disagree", "optimize s")
 
 
 class _FirstSolve(ScipyBackend):
@@ -59,8 +63,7 @@ class _FirstSolve(ScipyBackend):
 def _refuted(first, incumbent) -> bool:
     if first.status != OPTIMAL or incumbent is None:
         return False
-    known = float(incumbent)
-    return first.objective > known + CLAIM_TOLERANCE * max(1.0, known)
+    return first.objective > claim_limit(float(incumbent))
 
 
 def scan(seeds) -> dict[str, Counter]:
@@ -73,6 +76,8 @@ def scan(seeds) -> dict[str, Counter]:
             result = optimize(inst, policy, objective, backend=backend)
             row = counts[objective]
             row["solves"] += 1
+            row["incumbent"] += result.incumbent is not None
+            row["optimize s"] += result.runtime_s
             row["re-solves"] += result.resolved_without_presolve
             row["refuted"] += _refuted(backend.first, result.incumbent)
             fault = presolve_fault(result, reference)
@@ -89,6 +94,11 @@ def scan(seeds) -> dict[str, Counter]:
     return counts
 
 
+def _line(label: str, row: Counter) -> str:
+    cells = (f"{row[c]:.1f}" if isinstance(row[c], float) else str(row[c]) for c in COLUMNS)
+    return f"{label:<12}" + "".join(f"{cell:>11}" for cell in cells)
+
+
 def main(argv: list[str]) -> int:
     first, last = (int(a) for a in argv) if argv else (100, 139)
     start = time.perf_counter()
@@ -98,8 +108,8 @@ def main(argv: list[str]) -> int:
     total = Counter()
     for objective, row in counts.items():
         total.update(row)
-        print(f"{objective:<12}" + "".join(f"{row[c]:>11}" for c in COLUMNS))
-    print(f"{'all':<12}" + "".join(f"{total[c]:>11}" for c in COLUMNS))
+        print(_line(objective, row))
+    print(_line("all", total))
     return 1 if total["disagree"] else 0
 
 
