@@ -5,11 +5,13 @@ choice) combination and evaluates each with the conservative analysis.
 Exponential, so only usable on small instances; its value is being an
 independent reference the MILP route can be checked against.
 
-:func:`local_search` descends from a greedy deployment by single moves and
-stops at a local optimum or after :data:`LOCAL_SEARCH_EVALUATIONS`
-deployments, on any size of instance.  It proves nothing, but a schedulable
-deployment it finds bounds the optimum from above: ``optimize`` hands that
-value to HiGHS as a cutoff and checks the solver's proof against it.
+:func:`local_search` descends from a greedy deployment by single moves (one
+task to another core, two tasks' cores exchanged, two priorities swapped,
+one optional segment toggled) and stops at a local optimum or after
+:data:`LOCAL_SEARCH_EVALUATIONS` deployments, on any size of instance.  It
+proves nothing, but a schedulable deployment it finds bounds the optimum
+from above: ``optimize`` hands that value to HiGHS as a cutoff and checks
+the solver's proof against it.
 
 A candidate of either search is a tuple of indices (each task's core,
 priority and accelerated segments) on the instance's compiled view.  The
@@ -209,12 +211,15 @@ def local_search(inst: ProblemInstance, policy: str, objective: str) -> SearchRe
     The start gives deadline-monotonic priorities, accelerates only the
     accelerator-only segments and places the tasks in decreasing order of
     their largest CPU utilization, each on the core with the least of it so
-    far.  A move puts one task on another core, swaps two tasks' priorities
-    or toggles one optional segment.  Each step analyzes every move and takes
-    the first best one, if it is better than where the search stands: fewer
-    tasks without a WCRT first, then a smaller objective.  The search stops
-    at a local optimum or after :data:`LOCAL_SEARCH_EVALUATIONS` analyzed
-    deployments.
+    far.  A move puts one task on another core, exchanges the cores of two
+    tasks on different cores, swaps two tasks' priorities or toggles one
+    optional segment.  An exchange moves load both ways at once: on WATERS
+    under rr and npfp no single-task core move lowers the number of misses,
+    and only exchanges reach a schedulable deployment.  Each step analyzes
+    every move and takes the first best one, if it is better than where the
+    search stands: fewer tasks without a WCRT first, then a smaller
+    objective.  The search stops at a local optimum or after
+    :data:`LOCAL_SEARCH_EVALUATIONS` analyzed deployments.
 
     The result's objective is that of the deployment it returns, and equals
     ``evaluate_objective(analyze(..., mode=CONSERVATIVE), objective)``; both
@@ -251,6 +256,12 @@ def local_search(inst: ProblemInstance, policy: str, objective: str) -> SearchRe
             for k in range(m):
                 if k != core[i]:
                     yield (*core[:i], k, *core[i + 1 :]), prio, accelerated
+        for i in range(n):
+            for s in range(i + 1, n):
+                if core[i] != core[s]:
+                    exchanged = list(core)
+                    exchanged[i], exchanged[s] = core[s], core[i]
+                    yield tuple(exchanged), prio, accelerated
         for i in range(n):
             for s in range(i + 1, n):
                 swapped = list(prio)

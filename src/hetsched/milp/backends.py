@@ -33,10 +33,16 @@ observes every HiGHS call (time, nodes, count) by wrapping it.
 
 HiGHS writes some diagnostics (``transformNewIntegerFeasibleSolution``) to
 file descriptor 1 even with its log off, so ``ScipyBackend`` points
-descriptor 1 at descriptor 2 around the ``milp`` call, at about 2 µs a
+descriptor 1 at descriptor 2 around the ``milp`` call, at about 3 µs a
 solve: every caller, not only the command line, keeps standard output for
-its own results.  Switching HiGHS's ``output_flag`` off does not replace the
-redirect: with ``"output_flag": False`` passed and the redirect removed,
+its own results.  The redirect needs the C library's stdio buffers flushed
+before descriptor 1 is restored.  HiGHS writes through C's ``printf``, and
+when standard output is a pipe or a file, C's buffer holds the line until
+it is flushed; without ``fflush(NULL)`` (called through :mod:`ctypes`) the
+line reaches the real standard output after the call.  Only unbuffered
+stdio (``PYTHONUNBUFFERED=1`` or ``python -u``) hides the need.  Switching
+HiGHS's ``output_flag`` off does not replace the redirect: with
+``"output_flag": False`` passed and the redirect removed,
 ``HighsMipSolverData::transformNewIntegerFeasibleSolution tmpSolver.run();``
 still reaches standard output while ``optimize`` solves
 ``tests/data/solver_noise.json`` under nocontention min-max rt (scipy 1.17.1,
@@ -46,6 +52,7 @@ HiGHS 1.12.0).
 from __future__ import annotations
 
 import contextlib
+import ctypes
 import math
 import os
 import re
@@ -97,20 +104,30 @@ class SolveResult:
         return self.status in (OPTIMAL, FEASIBLE)
 
 
+# The C library of this process, whose ``fflush(NULL)`` flushes every C stdio
+# stream, HiGHS's ``printf`` buffer among them.
+_LIBC = ctypes.CDLL(None)
+
+
 @contextlib.contextmanager
 def _stdout_to_stderr():
     """Point file descriptor 1 at descriptor 2 for the duration.
 
-    Descriptor 1 belongs to the whole process, so solves run from several
-    threads at once may leave it pointing at descriptor 2.
+    Both Python's and the C library's stdout buffers are flushed on the way
+    in and out, so what was written inside lands on descriptor 2 and what
+    was written before stays on descriptor 1.  Descriptor 1 belongs to the
+    whole process, so solves run from several threads at once may leave it
+    pointing at descriptor 2.
     """
     sys.stdout.flush()
+    _LIBC.fflush(None)
     saved = os.dup(1)
     os.dup2(2, 1)
     try:
         yield
     finally:
         sys.stdout.flush()
+        _LIBC.fflush(None)
         os.dup2(saved, 1)
         os.close(saved)
 

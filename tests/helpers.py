@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import os
 import random
 
 from hetsched.model import (
@@ -16,6 +17,13 @@ from hetsched.model import (
 )
 
 CT = "ct"  # single core type used by the synthetic instances
+
+
+def buffered_stdio_env() -> dict[str, str]:
+    """This process's environment without ``PYTHONUNBUFFERED``, so that a
+    child Python buffers its stdio as it does by default and a guard on its
+    stdout cannot pass only because the caller's stdio is unbuffered."""
+    return {k: v for k, v in os.environ.items() if k != "PYTHONUNBUFFERED"}
 
 
 def seg_cpu(exec_us: int) -> SegmentSpec:

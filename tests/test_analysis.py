@@ -248,6 +248,19 @@ def test_two_task_fixed_point_with_and_without_suspension():
     assert rep2.task("lo").wcrt_us == 4_000
 
 
+@pytest.mark.parametrize("mode", MODES)
+def test_wcrt_exactly_at_the_deadline_is_schedulable(mode):
+    # By hand: hp alone gives R = C = 2000 = D; lo's recurrence goes
+    # 3000 -> 3000 + ceil(3000/10000)*2000 = 5000 -> 5000, so R = 5000 = D.
+    hp = make_task("hp", 10_000, [seg_cpu(2_000)], deadline=2_000)
+    lo = make_task("lo", 20_000, [seg_cpu(3_000)], deadline=5_000)
+    inst = make_instance([hp, lo], n_cores=1)
+    a = assign({"hp": "c0", "lo": "c0"}, {"hp": 2, "lo": 1})
+    rep = analyze(inst, a, RR, mode=mode)
+    assert rep.wcrt() == {"hp": 2_000, "lo": 5_000}
+    assert rep.task("hp").schedulable and rep.task("lo").schedulable
+
+
 def test_unschedulable_task_reports_none():
     t = make_task("t", 10_000, [seg_cpu(11_000)])
     inst = make_instance([t])

@@ -5,7 +5,15 @@ import subprocess
 import sys
 
 import pytest
-from helpers import assign, make_instance, make_task, oracle_corpus_instance, seg_cpu, seg_opt
+from helpers import (
+    assign,
+    buffered_stdio_env,
+    make_instance,
+    make_task,
+    oracle_corpus_instance,
+    seg_cpu,
+    seg_opt,
+)
 
 from hetsched.cli import main
 from hetsched.model import (
@@ -302,6 +310,7 @@ def test_optimize_stdout_is_clean_json(capsys, tmp_path, index):
         [sys.executable, "-m", "hetsched.cli", "optimize", *args],
         capture_output=True,
         text=True,
+        env=buffered_stdio_env(),
     )
     assert proc.returncode == 0, proc.stderr
     doc = json.loads(proc.stdout)
@@ -313,16 +322,20 @@ def test_optimize_stdout_is_clean_json(capsys, tmp_path, index):
 
 def test_optimize_stdout_survives_solver_noise(tmp_path, duo_files):
     # Whatever HiGHS writes to file descriptor 1 must not reach the JSON
-    # document on stdout.  The noise comes from inside the call HiGHS runs in.
+    # document on stdout.  The noise comes from inside the call HiGHS runs in,
+    # once straight to the descriptor and once through C's buffered printf,
+    # which HiGHS itself uses.
     inst, _ = duo_files
     script = tmp_path / "noisy.py"
     script.write_text(
-        "import os, sys\n"
+        "import ctypes, os, sys\n"
         "import scipy.optimize\n"
         "from hetsched.cli import main\n"
         "milp = scipy.optimize.milp\n"
+        "libc = ctypes.CDLL(None)\n"
         "def noisy(*args, **kwargs):\n"
         "    os.write(1, b'noise\\n')\n"
+        "    libc.printf(b'printf noise\\n')\n"
         "    return milp(*args, **kwargs)\n"
         "scipy.optimize.milp = noisy\n"
         "sys.exit(main(sys.argv[1:]))\n"
@@ -332,10 +345,12 @@ def test_optimize_stdout_survives_solver_noise(tmp_path, duo_files):
          "--policy", "rr", "--objective", "minmax-lat"],
         capture_output=True,
         text=True,
+        env=buffered_stdio_env(),
     )
     assert proc.returncode == 0, proc.stderr
     assert json.loads(proc.stdout)["objective"] == 29_500.0
     assert "noise" in proc.stderr
+    assert "printf noise" in proc.stderr
 
 
 @pytest.mark.parametrize("command", ["analyze", "simulate", "search", "optimize"])

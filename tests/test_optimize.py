@@ -9,7 +9,14 @@ from fractions import Fraction
 from pathlib import Path
 
 import pytest
-from helpers import make_instance, make_task, oracle_corpus_instance, seg_cpu, seg_opt
+from helpers import (
+    buffered_stdio_env,
+    make_instance,
+    make_task,
+    oracle_corpus_instance,
+    seg_cpu,
+    seg_opt,
+)
 
 import hetsched.bruteforce
 import hetsched.milp
@@ -444,6 +451,7 @@ def test_library_optimize_keeps_solver_noise_off_stdout():
         [sys.executable, "-c", script, str(DATA / "solver_noise.json")],
         capture_output=True,
         text=True,
+        env=buffered_stdio_env(),
     )
     assert proc.returncode == 0, proc.stderr
     assert proc.stdout == ""
