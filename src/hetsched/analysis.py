@@ -23,7 +23,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from functools import cached_property
 from fractions import Fraction
-from typing import Iterable, Mapping, Sequence
+from typing import Iterable, Mapping, Sequence, Sized
 
 from hetsched.model import (
     Assignment,
@@ -60,6 +60,15 @@ def check_name(value: str, names: Sequence[str], what: str) -> None:
     """Raise :class:`ModelError` unless ``value`` is one of ``names``."""
     if value not in names:
         raise ModelError(f"unknown {what} {value!r}")
+
+
+def require_chains(objective: str, chains: Sized) -> None:
+    """Raise :class:`ModelError` for a latency objective without ``chains``
+    (an instance's, or a report's chain latencies).  Each entry point checks
+    this after the names and the instance and before any analysis, so a
+    chainless instance is refused whether or not it is schedulable."""
+    if objective in (MINMAX_LAT, MINSUM_LAT) and not chains:
+        raise ModelError("latency objectives require at least one chain")
 
 
 def _ceil_div(n: int, d: int) -> int:
@@ -765,6 +774,7 @@ def evaluate_objective(report: AnalysisReport, objective: str) -> Fraction | Non
     so optimizer results can be compared without float noise.
     """
     check_name(objective, OBJECTIVES, "objective")
+    require_chains(objective, report.chain_latency_us)
     if not report.schedulable:
         return None
     return _objective_value(
@@ -779,15 +789,17 @@ def conservative_score(
     ci: CompiledInstance,
     core: Sequence[int],
     prio: Sequence[int],
-    views: Sequence[SelfSuspendingView],
+    accelerated: Sequence[frozenset[int]],
     policy: str,
     objective: str,
 ) -> tuple[int, Fraction | None]:
     """The number of tasks the conservative analysis gives no WCRT, and
     ``evaluate_objective(analyze(..., mode=CONSERVATIVE), objective)``, of a
-    deployment given by index, as :meth:`CompiledInstance.deploy` returns
-    it, without building the report.  The value is None unless no task
-    misses.  The names are not checked."""
+    deployment given by each task's core index, priority and accelerated
+    segments, without building the report.  The value is None unless no
+    task misses.  Neither the names nor :func:`require_chains` are
+    checked."""
+    views = [ci.view(i, ci.core_type[k], acc) for i, (k, acc) in enumerate(zip(core, accelerated))]
     _, wcrt = _wcrts(ci, core, prio, views, policy, CONSERVATIVE)
     misses = wcrt.count(None)
     if misses:
@@ -805,8 +817,6 @@ def _objective_value(
     """:func:`evaluate_objective` of a schedulable deployment, from the WCRT
     and deadline of each task and the latency of each chain."""
     if objective in (MINMAX_LAT, MINSUM_LAT):
-        if not latency:
-            raise ModelError("latency objectives require at least one chain")
         return Fraction(max(latency) if objective == MINMAX_LAT else sum(latency))
     ratios = [Fraction(r, d) for r, d in zip(wcrt, deadline)]
     return max(ratios) if objective == MINMAX_RT else sum(ratios)

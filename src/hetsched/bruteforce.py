@@ -55,6 +55,7 @@ from hetsched.analysis import (
     check_name,
     conservative_score,
     evaluate_objective,
+    require_chains,
 )
 from hetsched.model import Assignment, ModelError, ProblemInstance
 
@@ -170,18 +171,14 @@ def best_assignment(
     check_name(policy, POLICIES, "policy")
     check_name(objective, OBJECTIVES, "objective")
     ci = inst.compiled
-    view, core_type = ci.view, ci.core_type
+    require_chains(objective, inst.chains)
     best_value: Fraction | None = None
     best: Deployment | None = None
     evaluated = 0
     feasible = 0
     for deployment in _deployments(ci, per_core_orders=policy != NPFP):
         evaluated += 1
-        core_vec, perm, accelerated = deployment
-        views = [
-            view(i, core_type[k], acc) for i, (k, acc) in enumerate(zip(core_vec, accelerated))
-        ]
-        misses, value = conservative_score(ci, core_vec, perm, views, policy, objective)
+        misses, value = conservative_score(ci, *deployment, policy, objective)
         if misses:
             continue
         feasible += 1
@@ -228,7 +225,7 @@ def local_search(inst: ProblemInstance, policy: str, objective: str) -> SearchRe
     check_name(policy, POLICIES, "policy")
     check_name(objective, OBJECTIVES, "objective")
     ci = inst.compiled
-    view, core_type = ci.view, ci.core_type
+    require_chains(objective, inst.chains)
     n, m = len(ci.task_ids), len(ci.core_index)
     prio = [0] * n
     for rank, i in enumerate(sorted(range(n), key=ci.deadline.__getitem__)):
@@ -245,9 +242,7 @@ def local_search(inst: ProblemInstance, policy: str, objective: str) -> SearchRe
     def score(deployment: Deployment) -> tuple[int, Fraction]:
         nonlocal evaluated, feasible
         evaluated += 1
-        core, prio, accelerated = deployment
-        views = [view(i, core_type[k], acc) for i, (k, acc) in enumerate(zip(core, accelerated))]
-        misses, value = conservative_score(ci, core, prio, views, policy, objective)
+        misses, value = conservative_score(ci, *deployment, policy, objective)
         feasible += not misses
         return misses, Fraction(0) if value is None else value
 

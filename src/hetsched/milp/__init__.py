@@ -90,18 +90,16 @@ class OptimizeResult:
         }
 
 
-def _pin_and_maximize_acceleration(model: MilpModel, incumbent: float) -> None:
-    """Freeze the objective at the incumbent and prefer more acceleration.
+def _pin_and_maximize_acceleration(model: MilpModel, claim: float) -> None:
+    """Hold the objective at a settled claim and prefer more acceleration.
 
     Used to break ties deterministically: among deployments achieving the
-    optimal objective, pick one with the most accelerated segments.  The pin
-    allows a hair of slack, far below the one-microsecond resolution of the
-    objective values.
+    claimed objective, pick one with the most accelerated segments.  The pin
+    lets the objective exceed the claim by the margin
+    :func:`~hetsched.milp.decode.claim_limit` adds, the tolerance
+    :func:`verify_solution` grants a claim, whatever the objective's unit.
     """
-    slack = 1e-6 * max(1.0, abs(incumbent))
-    model.add_row(
-        "tiebreak_pin", list(model.objective.items()), "<=", incumbent + slack
-    )
+    model.add_row("tiebreak_pin", list(model.objective.items()), "<=", claim_limit(claim))
     model.set_objective([(col, -1.0) for cols in model.meta["a"] for col in cols.values()])
 
 
@@ -139,6 +137,11 @@ def optimize(
     reported, so the search stays a check on the MILP route, not a part of
     it.
 
+    Every solve runs on the one model :func:`build_milp` returns, in a fixed
+    order: the first solve, the presolve-off re-solve if it is due, and last,
+    with ``tie_break``, one tie-break solve.  Each is decoded and verified as
+    it returns.
+
     When the built-in backend answers ``infeasible``, proves at a zero gap an
     optimum that :func:`verify_solution` does not certify, or proves one
     above the incumbent, the model is solved once more with HiGHS's presolve
@@ -153,6 +156,12 @@ def optimize(
     ``error`` instead.  A solve that stops without a deployment (a time
     limit) reports the search's deployment as ``feasible``, verified like
     the solver's.
+
+    The tie-break (:data:`MAX_ACCELERATION`) pins the objective at the claim
+    of the solve the answer settled on and asks for the most accelerated
+    segments, with presolve off if a re-solve ran, and without the bound.
+    Its deployment is the one reported, verified against that claim, so a
+    tie-break deployment that beats a proof leaves the result unverified.
 
     ``mip_gap`` is None or a finite number >= 0, and ``time_limit`` None or
     a number >= 0 (``inf`` is no limit), neither a ``bool``; any other
@@ -196,37 +205,33 @@ def optimize(
         """A zero-gap proof above the incumbent."""
         return known is not None and proven(res) and res.objective > claim_limit(float(known))
 
-    def attempt(**options):
-        """The main solve and, if it found a deployment, the tie-break
-        re-solve (without a bound), the deployment and its verification."""
-        res = solve(**options)
-        if not res.has_solution:
-            return res, res.status, None, None
-        status, values = res.status, res.values
-        if tie_break == MAX_ACCELERATION and res.objective is not None:
-            _pin_and_maximize_acceleration(model, res.objective)
-            options.pop("objective_bound", None)
-            res2 = solve(**options)
-            if res2.has_solution:
-                values = res2.values
-                status = res2.status if status == OPTIMAL else status
+    def check(values: dict[str, float], claim: SolveResult):
+        """The deployment ``values`` encode, verified against ``claim``."""
         assignment = decode_assignment(model, values)
-        verification = verify_solution(
-            inst, assignment, policy, objective, claimed=res.objective, proven=proven(res)
+        return assignment, verify_solution(
+            inst, assignment, policy, objective, claimed=claim.objective, proven=proven(claim)
         )
-        return res, status, assignment, verification
 
-    res, status, assignment, verification = attempt(**first)
-    resolved = (builtin and status == INFEASIBLE) or (
+    res = solve(**first)
+    assignment = verification = None
+    if res.has_solution:
+        assignment, verification = check(res.values, res)
+    resolved = (builtin and res.status == INFEASIBLE) or (
         proven(res) and (not verification.ok or beaten(res))
     )
+    later = {"presolve": False} if resolved else {}  # options of the solves after the first
     if resolved:
-        # The tie-break pinned the first model's objective to the untrusted claim.
-        if tie_break is not None:
-            model = build_milp(inst, policy, objective)
-        retry = attempt(presolve=False)
-        if retry[-1] is not None:  # a re-solve without a deployment keeps the first answer
-            res, status, assignment, verification = retry
+        retry = solve(**later)
+        if retry.has_solution:  # a re-solve without a deployment keeps the first answer
+            res = retry
+            assignment, verification = check(res.values, res)
+    status = res.status
+    if tie_break == MAX_ACCELERATION and res.has_solution and res.objective is not None:
+        _pin_and_maximize_acceleration(model, res.objective)
+        tie = solve(**later)
+        if tie.has_solution:
+            assignment, verification = check(tie.values, res)
+            status = tie.status if status == OPTIMAL else status
 
     message = (verification is not None and verification.message) or res.message
     if beaten(res):

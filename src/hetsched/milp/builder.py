@@ -119,6 +119,7 @@ from hetsched.analysis import (
     RR,
     CompiledInstance,
     check_name,
+    require_chains,
 )
 from hetsched.milp.ir import MilpModel
 from hetsched.model import ModelError, ProblemInstance
@@ -234,8 +235,7 @@ def build_milp(inst: ProblemInstance, policy: str, objective: str) -> MilpModel:
     problem = envelope_violation(inst)
     if problem:
         raise ModelError("invalid instance: tasks: " + problem)
-    if objective in (MINMAX_LAT, MINSUM_LAT) and not inst.chains:
-        raise ModelError("latency objectives require at least one chain")
+    require_chains(objective, inst.chains)
 
     tasks = list(inst.tasks)
     n = len(tasks)

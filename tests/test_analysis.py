@@ -406,9 +406,11 @@ def test_objective_is_none_for_unschedulable():
 
 
 def test_latency_objective_requires_chains():
-    t = make_task("t", 10_000, [seg_cpu(1_000)])
+    # Refused before the schedulability of the report is read.
+    t = make_task("t", 10_000, [seg_cpu(12_000)])
     inst = make_instance([t])
     rep = analyze(inst, assign({"t": "c0"}, {"t": 1}), RR)
+    assert not rep.schedulable
     with pytest.raises(ModelError, match="chain"):
         evaluate_objective(rep, "minmax-lat")
 

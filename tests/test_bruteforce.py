@@ -303,6 +303,18 @@ def test_local_search_reports_no_deployment_when_it_ends_on_a_miss():
     assert (res.objective, res.assignment, res.feasible) == (None, None, 0)
 
 
+@pytest.mark.parametrize("search", [best_assignment, local_search])
+def test_searches_refuse_a_latency_objective_without_chains(search):
+    # Whether or not the instance is schedulable; an invalid one is invalid first.
+    for wcet in (2_000, 12_000):
+        chainless = make_instance([make_task("t", 10_000, [seg_cpu(wcet)])])
+        with pytest.raises(ModelError, match="latency objectives require at least one chain"):
+            search(chainless, "rr", "minmax-lat")
+    t = make_task("t", 10_000, [seg_cpu(2_000)])
+    with pytest.raises(ModelError, match="invalid instance"):
+        search(make_instance([t, t]), "rr", "minmax-lat")
+
+
 def test_local_search_rejects_unknown_names(duo):
     with pytest.raises(ModelError, match="unknown policy"):
         local_search(duo, "fifo", "minmax-lat")

@@ -151,6 +151,19 @@ def test_analyze_reports_response_time_objectives_without_chains(capsys, tmp_pat
     assert json.loads(out)["objectives"] == {"minmax-rt": 0.4, "minsum-rt": 0.6}
 
 
+@pytest.mark.parametrize("command", ["search", "optimize"])
+def test_latency_objective_without_chains_is_an_error(capsys, tmp_path, command):
+    # The same refusal whether or not the chainless instance is schedulable.
+    for wcet in (2_000, 12_000):
+        path = tmp_path / f"chainless_{wcet}.json"
+        path.write_text(instance_to_json(make_instance([make_task("t", 10_000, [seg_cpu(wcet)])])))
+        code, out, err = run(
+            capsys, command, "--instance", str(path), "--policy", "rr", "--objective", "minmax-lat"
+        )
+        assert code == 1 and out == ""
+        assert "error: latency objectives require at least one chain" in err
+
+
 def test_analyze_scaled_instance(capsys):
     code, out, _ = run(
         capsys,

@@ -255,15 +255,15 @@ def test_refuted_proof_is_solved_once_more_without_presolve(tiny):
 
 
 def test_refuted_proof_is_solved_again_with_the_tie_break():
-    # The re-solve starts from a model without the first tie-break's pin, so
-    # the second tie-break pins the honest optimum.
+    # The tie-break runs once, after the re-solve, so it pins the honest
+    # optimum of the re-solve on the one model, with presolve off.
     t1 = make_task("t1", 10_000, [seg_cpu(4_000)])
     t2 = make_task("t2", 20_000, [seg_opt(5_500, 1_000, 500, 4_000)])
     backend = _InflatedClaimBackend(presolve_only=True)
     res = optimize(
         make_instance([t1, t2]), "rr", "minmax-rt", backend=backend, tie_break=MAX_ACCELERATION
     )
-    assert backend.presolve == [True, True, False, False]
+    assert backend.presolve == [True, False, False]
     assert res.ok and res.resolved_without_presolve
     assert res.objective == Fraction(2, 5)
     assert res.assignment.accelerated_of("t2") == frozenset({0})
@@ -289,14 +289,20 @@ class _PresolveInfeasibleBackend(ScipyBackend):
         )
 
 
-def test_infeasible_answer_is_solved_once_more_without_presolve(tiny):
-    backend = _PresolveInfeasibleBackend()
-    res = optimize(tiny, "rr", "minmax-lat", backend=backend)
-    assert backend.presolve == [True, False]
-    assert res.status == OPTIMAL
-    assert res.verified and res.ok
-    assert res.objective == 29_500
-    assert res.resolved_without_presolve
+def test_infeasible_answer_is_solved_once_more_without_presolve(tiny, monkeypatch):
+    # The tie-break follows the re-solve on the one model, with presolve off.
+    counts = Counter()
+    _count_calls(monkeypatch, hetsched.milp, "build_milp", counts)
+    for tie_break, presolve in [(None, [True, False]), (MAX_ACCELERATION, [True, False, False])]:
+        counts.clear()
+        backend = _PresolveInfeasibleBackend()
+        res = optimize(tiny, "rr", "minmax-lat", backend=backend, tie_break=tie_break)
+        assert backend.presolve == presolve
+        assert counts["build_milp"] == 1
+        assert res.status == OPTIMAL
+        assert res.verified and res.ok
+        assert res.objective == 29_500
+        assert res.resolved_without_presolve
 
 
 def test_confirmed_infeasibility_stays_infeasible():
@@ -508,8 +514,8 @@ def test_optimize_reaches_the_module_attributes_the_tracer_wraps(tiny, monkeypat
     assert optimize(tiny, "rr", "minmax-lat").ok
     assert counts == {"build_milp": 1, "decode_assignment": 1, "verify_solution": 1, "solve": 1}
 
-    # A refuted proof under the tie-break: both attempts build, solve twice,
-    # decode and verify.
+    # A refuted proof under the tie-break: one build, then the first solve,
+    # the re-solve and the tie-break, each decoded and verified.
     counts.clear()
     t1 = make_task("t1", 10_000, [seg_cpu(4_000)])
     t2 = make_task("t2", 20_000, [seg_opt(5_500, 1_000, 500, 4_000)])
@@ -518,7 +524,7 @@ def test_optimize_reaches_the_module_attributes_the_tracer_wraps(tiny, monkeypat
         make_instance([t1, t2]), "rr", "minmax-rt", backend=backend, tie_break=MAX_ACCELERATION
     )
     assert res.ok and res.resolved_without_presolve
-    assert counts == {"build_milp": 2, "decode_assignment": 2, "verify_solution": 2, "solve": 4}
+    assert counts == {"build_milp": 1, "decode_assignment": 3, "verify_solution": 3, "solve": 3}
 
 
 def test_search_reaches_the_analysis_the_tracer_wraps(tiny, monkeypatch):
