@@ -36,7 +36,7 @@ from hetsched.model import (
     validate_instance,
     waters_published_assignment,
 )
-from hetsched.simulator import simulate, validate_trace
+from hetsched.simulator import SimEvent, simulate, validate_trace
 
 PUBLISHED_ASSIGNMENT = "builtin:waters"
 
@@ -168,7 +168,7 @@ def _cmd_simulate(args) -> int:
     }
     if args.events:
         doc["events"] = [
-            {k: v for k, v in ev._asdict().items() if v is not None} for ev in result.events
+            {k: v for k, v in zip(SimEvent._fields, ev) if v is not None} for ev in result.events
         ]
     _emit(doc, args)
     ok = not result.deadline_misses and not result.truncated and not problems

@@ -12,7 +12,9 @@ Two drive modes:
 * ``seed=<int>``: per-task release offsets drawn uniformly from the period
   and per-phase durations drawn uniformly from [ceil(w/2), w].
 
-The trace is a list of :class:`SimEvent` in time order.  Its kinds:
+The trace is a list of events in time order, each a plain tuple in
+:class:`SimEvent`'s field order ``(time_us, kind, task, core, segment,
+cause)``; ``SimEvent._make(event)`` gives named access.  The kinds:
 
 * ``release``: a job of the task arrives.
 * ``run`` (with ``core`` and ``segment``): the job takes the core.
@@ -44,7 +46,9 @@ job can have started, so the others are kept as release times.
 :func:`validate_trace` reads each event once.  Dispatch is partitioned, so
 it takes the first core each task runs on as the task's home core, reports a
 ``run`` on any other core, and frees only the home core on an ``offload`` or
-a ``finish``.
+a ``finish``.  It keeps each task's open accelerator request from its
+``offload`` to its ``accel_done``, so under every policy it reports a
+completion that closes no service and a ``run`` while the request is open.
 """
 
 from __future__ import annotations
@@ -60,6 +64,14 @@ from hetsched.model import Assignment, ModelError, ProblemInstance
 
 
 class SimEvent(NamedTuple):
+    """The fields of a trace event, for named access and hand-made traces.
+
+    :func:`simulate` records plain tuples in this order: CPython's cyclic
+    collector stops tracking an exact tuple of atomic items at the first
+    collection that sees it, but never a tuple subclass, so named events
+    would be walked again by every full collection.
+    """
+
     time_us: int
     kind: str  # release | run | stop | offload | accel_start | accel_done | finish | deadline_miss
     task: str
@@ -75,7 +87,7 @@ class SimResult:
     jobs_finished: dict[str, int]
     deadline_misses: list[tuple[str, int, int]]  # (task, release, finish)
     truncated: bool
-    events: list[SimEvent] = field(default_factory=list)
+    events: list[tuple] = field(default_factory=list)  # in SimEvent's field order
 
     def observed(self, task_id: str) -> int | None:
         return self.observed_wcrt_us[task_id]
@@ -170,9 +182,8 @@ def simulate(
     serving: list[tuple[int, int]] = []
     rr_token = 0
 
-    events: list[SimEvent] = []
+    events: list[tuple] = []
     emit = events.append
-    new = tuple.__new__
     observed = [-1] * n  # the longest response so far; -1 before the first
     finished = [0] * n
     misses: list[tuple[str, int, int]] = []
@@ -195,8 +206,8 @@ def simulate(
                 finished[i] += 1
                 if response > deadline[i]:
                     misses.append((task_ids[i], release, now))
-                    emit(new(SimEvent, (now, "deadline_miss", task_ids[i], None, None, None)))
-                emit(new(SimEvent, (now, "finish", task_ids[i], None, None, None)))
+                    emit((now, "deadline_miss", task_ids[i], None, None, None))
+                emit((now, "finish", task_ids[i], None, None, None))
                 done = True
                 if not q:
                     ready[i] = False
@@ -216,7 +227,7 @@ def simulate(
         remaining[i] = worst
         ready[i] = not accel
         if accel:
-            emit(new(SimEvent, (now, "offload", task_ids[i], None, seg, None)))
+            emit((now, "offload", task_ids[i], None, seg, None))
             pending[i] = None
         return done
 
@@ -231,7 +242,7 @@ def simulate(
                 q = queue[i]
                 idle = not q
                 q.append(now)
-                emit(new(SimEvent, (now, "release", task_ids[i], None, None, None)))
+                emit((now, "release", task_ids[i], None, None, None))
                 if idle:
                     cursor[i] = iter(phases[i])
                     advance(i, now)  # enter the first phase
@@ -246,7 +257,7 @@ def simulate(
         if accel_next == now:
             for done, i in [entry for entry in serving if entry[0] == now]:
                 serving.remove((done, i))
-                emit(new(SimEvent, (now, "accel_done", task_ids[i], None, segment[i], None)))
+                emit((now, "accel_done", task_ids[i], None, segment[i], None))
                 advance(i, now)
             accel_next = min(serving)[0] if serving else inf
 
@@ -260,8 +271,7 @@ def simulate(
                 running[c] = None
                 done_at[c] = inf
                 if not advance(i, now) and ready[i]:
-                    stop = (now, "stop", task_ids[i], core_ids[c], None, "segment_end")
-                    emit(new(SimEvent, stop))
+                    emit((now, "stop", task_ids[i], core_ids[c], None, "segment_end"))
                 if now not in done_at:
                     break
                 c = done_at.index(now, c + 1)
@@ -282,7 +292,7 @@ def simulate(
                 granted = [max(pending, key=prio.__getitem__)]
             for i in granted:
                 del pending[i]
-                emit(new(SimEvent, (now, "accel_start", task_ids[i], None, segment[i], None)))
+                emit((now, "accel_start", task_ids[i], None, segment[i], None))
                 serving.append((now + remaining[i], i))
             accel_next = min(serving)[0]
 
@@ -303,10 +313,8 @@ def simulate(
                 if current != choice:
                     if current is not None:
                         remaining[current] = done_at[c] - now
-                        stop = (now, "stop", task_ids[current], core_ids[c], None, "preempt")
-                        emit(new(SimEvent, stop))
-                    run = (now, "run", task_ids[choice], core_ids[c], segment[choice], None)
-                    emit(new(SimEvent, run))
+                        emit((now, "stop", task_ids[current], core_ids[c], None, "preempt"))
+                    emit((now, "run", task_ids[choice], core_ids[c], segment[choice], None))
                     done_at[c] = now + remaining[choice]
                     running[c] = choice
             dirty.clear()
@@ -330,14 +338,16 @@ def simulate(
     )
 
 
-def validate_trace(events: list[SimEvent], policy: str) -> list[str]:
+def validate_trace(events: list[tuple], policy: str) -> list[str]:
     """Structural checks on a trace; returns human-readable problems.
 
-    Verifies that every core runs at most one job at a time, that each task
-    runs only on its home core (the first it ran on), that the accelerator
-    serves at most one request at a time under the serializing policies,
-    that every service interval is bracketed by a matching request, and
-    that every event is of a known kind.
+    The events are tuples in :class:`SimEvent`'s field order, plain or
+    named.  Verifies that every core runs at most one job at a time, that
+    each task runs only on its home core (the first it ran on), that the
+    accelerator serves at most one request at a time under the serializing
+    policies, that every service follows a request and every completion
+    closes a service, that no task runs between its request and its
+    completion, and that every event is of a known kind.
     """
     check_name(policy, POLICIES, "policy")
     serial = policy in (RR, NPFP)
@@ -346,7 +356,8 @@ def validate_trace(events: list[SimEvent], policy: str) -> list[str]:
     core_busy: dict[str, str] = {}
     home: dict[str, str] = {}  # the first core each task ran on
     device_busy: str | None = None
-    requested: set[str] = set()
+    # Each open request, by task: False while it waits, True in service.
+    request: dict[str, bool] = {}
     last_time = 0
     for time, kind, task, core, _, _ in events:
         if time < last_time:
@@ -357,6 +368,8 @@ def validate_trace(events: list[SimEvent], policy: str) -> list[str]:
             own = home.setdefault(task, core)
             if own != core:
                 add(f"{task} dispatched on {core} at {time}, away from its core {own}")
+            if task in request:
+                add(f"{task} dispatched on {core} at {time} during its accelerator request")
             held = core_busy.get(core)
             if held is not None and held != task:
                 add(f"{core} dispatched {task} at {time} while running {held}")
@@ -365,7 +378,7 @@ def validate_trace(events: list[SimEvent], policy: str) -> list[str]:
             pass
         elif kind == "finish" or kind == "offload":
             if kind == "offload":
-                requested.add(task)
+                request[task] = False
             own = home.get(task)
             if core_busy.get(own) == task:
                 del core_busy[own]
@@ -375,17 +388,17 @@ def validate_trace(events: list[SimEvent], policy: str) -> list[str]:
             else:
                 del core_busy[core]
         elif kind == "accel_start":
-            if task not in requested:
+            if request.get(task) is not False:
                 add(f"service without request: {task} at {time}")
-            requested.discard(task)
+            request[task] = True
             if serial:
                 if device_busy is not None:
                     add(f"accelerator started {task} at {time} while serving {device_busy}")
                 device_busy = task
         elif kind == "accel_done":
-            if serial:
-                if device_busy != task:
-                    add(f"completion without service: {task} at {time}")
+            if request.pop(task, None) is not True:
+                add(f"completion without service: {task} at {time}")
+            if device_busy == task:
                 device_busy = None
         elif kind != "deadline_miss":
             add(f"unknown event kind {kind!r}: {task} at {time}")

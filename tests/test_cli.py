@@ -18,13 +18,16 @@ from helpers import (
 from hetsched.cli import main
 from hetsched.model import (
     ChainSpec,
+    assignment_from_json,
     assignment_to_dict,
     assignment_to_json,
     builtin_waters,
+    instance_from_json,
     instance_to_dict,
     instance_to_json,
     waters_published_assignment,
 )
+from hetsched.simulator import SimEvent, simulate
 
 
 def run(capsys, *argv):
@@ -428,8 +431,16 @@ def test_simulate_can_dump_events(capsys, duo_files):
     )
     assert code == 0
     doc = json.loads(out)
-    assert doc["events"]
-    assert {"time_us", "kind", "task"} <= set(doc["events"][0])
+    with open(inst, encoding="utf-8") as fh:
+        instance = instance_from_json(fh.read())
+    with open(asg, encoding="utf-8") as fh:
+        assignment = assignment_from_json(fh.read())
+    trace = simulate(instance, assignment, "rr", seed=3).events
+    assert trace
+    # The library's trace, event for event, without the unset fields.
+    assert doc["events"] == [
+        {f: v for f, v in zip(SimEvent._fields, e) if v is not None} for e in trace
+    ]
 
 
 def test_output_file_option(capsys, tmp_path):

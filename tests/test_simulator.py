@@ -44,7 +44,8 @@ def test_higher_priority_release_preempts():
     assert res.observed("hi") == 1_000
     # lo: 4000 done by t=5000, preempted 1000, finishes its last 2000 at 8000
     assert res.observed("lo") == 8_000
-    preempts = [e for e in res.events if e.kind == "stop" and e.cause == "preempt"]
+    events = map(SimEvent._make, res.events)
+    preempts = [e for e in events if e.kind == "stop" and e.cause == "preempt"]
     assert any(e.task == "lo" and e.time_us == 5_000 for e in preempts)
     assert validate_trace(res.events, "rr") == []
 
@@ -69,7 +70,7 @@ def test_round_robin_serializes_the_accelerator():
     assert res.observed("t1") == 5_500
     assert res.observed("t2") == 9_500
     assert validate_trace(res.events, "rr") == []
-    starts = [e for e in res.events if e.kind == "accel_start"]
+    starts = [e for e in map(SimEvent._make, res.events) if e.kind == "accel_start"]
     assert [e.task for e in starts[:2]] == ["t1", "t2"]
 
 
@@ -89,7 +90,7 @@ def test_priority_arbitration_serves_the_urgent_task_first():
     # t2 holds the higher priority, so the simultaneous requests resolve t2-first.
     assert res.observed("t2") == 5_500
     assert res.observed("t1") == 9_500
-    starts = [e for e in res.events if e.kind == "accel_start"]
+    starts = [e for e in map(SimEvent._make, res.events) if e.kind == "accel_start"]
     assert [e.task for e in starts[:2]] == ["t2", "t1"]
     assert validate_trace(res.events, "npfp") == []
 
@@ -116,6 +117,10 @@ BROKEN_TRACES = [
      "a dispatched on c1 at 1, away from its core c0"),
     ("service without request", [SimEvent(3, "accel_start", "x")],
      "service without request: x at 3"),
+    ("completion without service", [SimEvent(0, "accel_done", "x")],
+     "completion without service: x at 0"),
+    ("run during a request", [SimEvent(0, "offload", "x"), SimEvent(1, "run", "x", "c0")],
+     "x dispatched on c0 at 1 during its accelerator request"),
 ]
 
 
@@ -227,6 +232,15 @@ def test_a_run_leaves_no_reference_cycle():
         gc.enable()
 
 
+def test_the_trace_is_plain_tuples_the_collector_skips():
+    # The collector untracks exact tuples of atomic items, never a NamedTuple.
+    res = simulate(builtin_waters(), waters_published_assignment(), "npfp", seed=3)
+    assert res.events
+    assert all(type(e) is tuple for e in res.events)
+    gc.collect()
+    assert not any(gc.is_tracked(e) for e in res.events)
+
+
 def test_random_deployments_stay_within_the_conservative_bounds():
     """A seeded sweep under every policy and both drives: every trace is well
     formed, and no deployment the conservative analysis accepts shows a
@@ -276,7 +290,8 @@ def test_cpu_phase_ending_into_cpu_phase_stops_the_job():
     # lo's first segment ends at 1000 (and 5000), just as hi is released and
     # takes the core: lo must leave the core before hi is dispatched.
     assert validate_trace(res.events, "rr") == []
-    ends = [(e.time_us, e.task) for e in res.events if e.cause == "segment_end"]
+    events = map(SimEvent._make, res.events)
+    ends = [(e.time_us, e.task) for e in events if e.cause == "segment_end"]
     assert ends == [(1_000, "lo"), (5_000, "lo")]
     assert res.observed("lo") == 1_600
 
@@ -370,7 +385,7 @@ def _digest(res) -> dict:
     it).  ``trace_sha256`` covers every event, so the full trace is pinned.
     """
     h, full = hashlib.sha256(), hashlib.sha256()
-    for ev in res.events:
+    for ev in map(SimEvent._make, res.events):
         line = json.dumps(list(ev)).encode() + b"\n"
         full.update(line)
         if not (ev.kind == "stop" and ev.cause == "segment_end"):
