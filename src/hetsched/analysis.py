@@ -54,6 +54,7 @@ MINSUM_LAT = "minsum-lat"
 MINMAX_RT = "minmax-rt"
 MINSUM_RT = "minsum-rt"
 OBJECTIVES = (MINMAX_LAT, MINSUM_LAT, MINMAX_RT, MINSUM_RT)
+LATENCY_OBJECTIVES = (MINMAX_LAT, MINSUM_LAT)  # the ones that need a chain
 
 
 def check_name(value: str, names: Sequence[str], what: str) -> None:
@@ -67,7 +68,7 @@ def require_chains(objective: str, chains: Sized) -> None:
     (an instance's, or a report's chain latencies).  Each entry point checks
     this after the names and the instance and before any analysis, so a
     chainless instance is refused whether or not it is schedulable."""
-    if objective in (MINMAX_LAT, MINSUM_LAT) and not chains:
+    if objective in LATENCY_OBJECTIVES and not chains:
         raise ModelError("latency objectives require at least one chain")
 
 
@@ -816,7 +817,7 @@ def _objective_value(
 ) -> Fraction:
     """:func:`evaluate_objective` of a schedulable deployment, from the WCRT
     and deadline of each task and the latency of each chain."""
-    if objective in (MINMAX_LAT, MINSUM_LAT):
+    if objective in LATENCY_OBJECTIVES:
         return Fraction(max(latency) if objective == MINMAX_LAT else sum(latency))
     ratios = [Fraction(r, d) for r, d in zip(wcrt, deadline)]
     return max(ratios) if objective == MINMAX_RT else sum(ratios)

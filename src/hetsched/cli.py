@@ -14,8 +14,7 @@ import sys
 
 from hetsched.analysis import (
     EXACT,
-    MINMAX_RT,
-    MINSUM_RT,
+    LATENCY_OBJECTIVES,
     MODES,
     OBJECTIVES,
     POLICIES,
@@ -104,7 +103,7 @@ def _cmd_analyze(args) -> int:
     else:
         doc = report.to_dict()
         # Latency objectives need a chain; response-time ones do not.
-        objectives = OBJECTIVES if inst.chains else (MINMAX_RT, MINSUM_RT)
+        objectives = [o for o in OBJECTIVES if inst.chains or o not in LATENCY_OBJECTIVES]
         values = {o: evaluate_objective(report, o) for o in objectives}
         doc["objectives"] = {o: None if v is None else float(v) for o, v in values.items()}
         _emit(doc, args)

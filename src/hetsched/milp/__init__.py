@@ -12,7 +12,7 @@ import time
 from dataclasses import dataclass
 from fractions import Fraction
 
-from hetsched.analysis import MINMAX_LAT, MINSUM_LAT, AnalysisReport
+from hetsched.analysis import LATENCY_OBJECTIVES, AnalysisReport
 from hetsched.bruteforce import local_search
 from hetsched.milp.backends import (
     ENV_SOLVER_CMD,
@@ -142,26 +142,26 @@ def optimize(
     with ``tie_break``, one tie-break solve.  Each is decoded and verified as
     it returns.
 
-    When the built-in backend answers ``infeasible``, proves at a zero gap an
-    optimum that :func:`verify_solution` does not certify, or proves one
-    above the incumbent, the model is solved once more with HiGHS's presolve
-    off and without the bound, and a deployment found that way is reported
-    (``resolved_without_presolve``).  On small seeded instances, presolve
-    occasionally cut off the optimum or every feasible point, and each such
-    case seen solved right without it.  The re-solve is the control
-    experiment on the same model, so a fault of the encoding still shows: a
-    proof the incumbent still beats is not verified.  Only the built-in
-    backend is given the gap, so only its ``optimal`` counts as a proof.  No
-    answer is ``infeasible`` once the search has found a deployment; it is an
-    ``error`` instead.  A solve that stops without a deployment (a time
-    limit) reports the search's deployment as ``feasible``, verified like
-    the solver's.
+    When the built-in backend answers ``infeasible``, or proves at a zero gap
+    an optimum that :func:`verify_solution` does not certify (it refutes the
+    proofs that the decoded deployment or the incumbent beats), the model is
+    solved once more with HiGHS's presolve off and without the bound, and a
+    deployment found that way is reported (``resolved_without_presolve``).
+    On small seeded instances, presolve occasionally cut off the optimum or
+    every feasible point, and each such case seen solved right without it.
+    The re-solve is the control experiment on the same model, so a fault of
+    the encoding still shows: a proof still refuted is not verified.  Only
+    the built-in backend is given the gap, so only its ``optimal`` counts as
+    a proof.  No answer is ``infeasible`` once the search has found a
+    deployment; it is an ``error`` instead.  A solve that stops without a
+    deployment (a time limit) reports the search's deployment as
+    ``feasible``, verified like the solver's.
 
     The tie-break (:data:`MAX_ACCELERATION`) pins the objective at the claim
     of the solve the answer settled on and asks for the most accelerated
     segments, with presolve off if a re-solve ran, and without the bound.
     Its deployment is the one reported, verified against that claim, so a
-    tie-break deployment that beats a proof leaves the result unverified.
+    refuted proof leaves the result unverified.
 
     ``mip_gap`` is None or a finite number >= 0, and ``time_limit`` None or
     a number >= 0 (``inf`` is no limit), neither a ``bool``; any other
@@ -187,7 +187,7 @@ def optimize(
     known = incumbent.objective
     first = {}  # options of the first solve only
     if builtin and known is not None:
-        if objective in (MINMAX_LAT, MINSUM_LAT):
+        if objective in LATENCY_OBJECTIVES:
             first["objective_bound"] = float(known) + 0.5
         elif max(inst.compiled.deadline) < RT_BOUND_DEADLINE_LIMIT:
             first["objective_bound"] = claim_limit(float(known))
@@ -201,24 +201,18 @@ def optimize(
     def proven(res: SolveResult) -> bool:
         return builtin and res.status == OPTIMAL and mip_gap == 0
 
-    def beaten(res: SolveResult) -> bool:
-        """A zero-gap proof above the incumbent."""
-        return known is not None and proven(res) and res.objective > claim_limit(float(known))
-
     def check(values: dict[str, float], claim: SolveResult):
         """The deployment ``values`` encode, verified against ``claim``."""
         assignment = decode_assignment(model, values)
         return assignment, verify_solution(
-            inst, assignment, policy, objective, claimed=claim.objective, proven=proven(claim)
+            inst, assignment, policy, objective, claim.objective, proven(claim), incumbent=known
         )
 
     res = solve(**first)
     assignment = verification = None
     if res.has_solution:
         assignment, verification = check(res.values, res)
-    resolved = (builtin and res.status == INFEASIBLE) or (
-        proven(res) and (not verification.ok or beaten(res))
-    )
+    resolved = (builtin and res.status == INFEASIBLE) or (proven(res) and not verification.ok)
     later = {"presolve": False} if resolved else {}  # options of the solves after the first
     if resolved:
         retry = solve(**later)
@@ -234,9 +228,7 @@ def optimize(
             status = tie.status if status == OPTIMAL else status
 
     message = (verification is not None and verification.message) or res.message
-    if beaten(res):
-        message = f"solver proved {res.objective} optimal but the local search found {float(known)}"
-    elif known is not None and status == INFEASIBLE:
+    if known is not None and status == INFEASIBLE:
         status = ERROR
         message = f"solver answered infeasible but the local search found {float(known)}"
     elif known is not None and status == NO_SOLUTION:
@@ -249,7 +241,7 @@ def optimize(
         solver_objective=res.objective,
         assignment=assignment,
         report=None if verification is None else verification.report,
-        verified=verification is not None and verification.ok and not beaten(res),
+        verified=verification is not None and verification.ok,
         gap=res.gap,
         runtime_s=time.perf_counter() - start,
         model_stats=stats,

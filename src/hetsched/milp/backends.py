@@ -9,7 +9,8 @@ HiGHS's raw ``--solution_file`` format, CBC's solution file, or plain
 dual-values and basis sections, whose rows reuse the column names.  A status
 of "infeasible or unbounded" (HiGHS's "Primal infeasible or unbounded",
 CPLEX's "integer infeasible or unbounded") is ``error``, as ``ScipyBackend``
-reports it, never ``infeasible``; so is a solution file that cannot be read.
+reports it, never ``infeasible``; so is a solution file that cannot be read,
+or that gives the objective or a variable a value that is not finite.
 
 ``ScipyBackend`` switches off HiGHS's feasibility-jump heuristic (Luteberget
 & Sartor, "Feasibility Jump: an LP-free Lagrangian MIP heuristic", Math.
@@ -283,6 +284,9 @@ def parse_solution_file(text: str, model: MilpModel) -> SolveResult:
             return SolveResult(status=ERROR, message=f"unreadable solution file: {exc}")
     else:
         status_text, objective, values = _parse_text_solution(text, known)
+    for name, v in [("objective", objective), *values.items()]:
+        if v is not None and not math.isfinite(v):
+            return SolveResult(status=ERROR, message=f"unreadable solution file: {name} is {v}")
 
     low = (status_text or "").lower()
     if "infeasible or unbounded" in low:

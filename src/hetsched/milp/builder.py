@@ -109,9 +109,9 @@ and grids the ``conservative`` analysis reads.
 from __future__ import annotations
 
 from hetsched.analysis import (
+    LATENCY_OBJECTIVES,
     MINMAX_LAT,
     MINMAX_RT,
-    MINSUM_LAT,
     NO_CONTENTION,
     NPFP,
     OBJECTIVES,
@@ -534,7 +534,7 @@ def build_milp(inst: ProblemInstance, policy: str, objective: str) -> MilpModel:
         # Tasks without accelerable segments have s fixed to 0 by its bounds.
 
     # --------------------------------------------------------------- objective
-    if objective in (MINMAX_LAT, MINSUM_LAT):
+    if objective in LATENCY_OBJECTIVES:
         L = []
         for ch, chain in enumerate(inst.chains):
             lv = model.add_var(f"L_ch{ch}", integer=True)

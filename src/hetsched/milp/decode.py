@@ -78,6 +78,7 @@ def verify_solution(
     objective: str,
     claimed: float | None = None,
     proven: bool = False,
+    incumbent: Fraction | None = None,
 ) -> VerificationResult:
     """Independently re-derive the decoded deployment's objective value.
 
@@ -85,9 +86,11 @@ def verify_solution(
     test, and the recomputed objective must not beat the solver's claim by
     more than :data:`CLAIM_TOLERANCE` (the solver may legitimately claim a
     worse value when stopped early, never a better one).  A ``proven``
-    claim, an optimum proved at a zero gap, must not exceed the recomputed
-    objective by more than that either: a deployment that beats the proven
-    optimum refutes the proof.
+    claim, an optimum proved at a zero gap, is refuted by any known
+    deployment that beats it by more than that: the decoded one, or the
+    ``incumbent``, the value of a deployment found another way (the local
+    search's in :func:`~hetsched.milp.optimize`).  An incumbent that beats
+    the proof is reported ahead of every other finding.
     """
     raise_invalid(
         "decoded deployment is invalid",
@@ -97,13 +100,14 @@ def verify_solution(
     report = analyze(inst, assignment, policy, mode=CONSERVATIVE)
     value = evaluate_objective(report, objective)
     message = ""
-    if value is None:
+    if proven and incumbent is not None and claimed > claim_limit(float(incumbent)):
+        message = f"solver proved {claimed} optimal but the local search found {float(incumbent)}"
+    elif value is None:
         message = "deployment fails the conservative schedulability test"
     elif claimed is not None:
-        slack = CLAIM_TOLERANCE * max(1.0, abs(claimed))
-        if float(value) > claimed + slack:
+        if float(value) > claim_limit(claimed):
             message = f"solver claimed {claimed} but the analysis only certifies {float(value)}"
-        elif proven and float(value) < claimed - slack:
+        elif proven and float(value) < claimed - CLAIM_TOLERANCE * max(1.0, abs(claimed)):
             message = (
                 f"solver proved {claimed} optimal but its own deployment "
                 f"analyzes to {float(value)}"

@@ -213,6 +213,27 @@ def test_truncated_solution_file_reports_the_parse_error():
     assert res.message.startswith("unreadable solution file:")
 
 
+@pytest.mark.parametrize(
+    "text, named",
+    [
+        ("Model status: Optimal\nObjective 3\nx nan\ny 0.5\n", "x is nan"),
+        ("Model status: Optimal\nObjective: inf\nx 2\ny 0.5\n", "objective is inf"),
+        (
+            '<?xml version="1.0"?><CPLEXSolution><header objectiveValue="3"'
+            ' solutionStatusString="integer optimal solution"/><variables>'
+            '<variable name="x" value="nan"/><variable name="y" value="0.5"/>'
+            "</variables></CPLEXSolution>",
+            "x is nan",
+        ),
+    ],
+    ids=["text-value-nan", "text-objective-inf", "xml-value-nan"],
+)
+def test_a_number_that_is_not_finite_makes_the_solution_file_unreadable(text, named):
+    res = parse_solution_file(text, tiny_model())
+    assert res.status == ERROR and not res.has_solution
+    assert res.message == f"unreadable solution file: {named}"
+
+
 try:
     from scipy.optimize._highspy._core import _Highs
 except ImportError:  # a private binding; other scipy builds may lack it

@@ -1,6 +1,7 @@
 """Command-line interface: subcommands, exit codes, output formats."""
 
 import json
+import math
 import subprocess
 import sys
 
@@ -16,6 +17,7 @@ from helpers import (
 )
 
 from hetsched.cli import main
+from hetsched.milp import ScipyBackend, build_milp
 from hetsched.model import (
     ChainSpec,
     assignment_from_json,
@@ -291,6 +293,41 @@ def test_optimize_non_utf8_solution_file_is_an_error(capsys, tmp_path, duo_files
     assert code == 1
     doc = json.loads(out)
     assert doc["status"] == "error"
+    assert doc["message"].startswith("unreadable solution file: ")
+
+
+def _no_constant(name):
+    raise ValueError(f"{name} is not JSON")
+
+
+@pytest.mark.parametrize("bad", ["value", "objective"])
+def test_optimize_non_finite_number_in_a_solution_file_is_an_error(
+    capsys, tmp_path, duo_files, bad
+):
+    # HiGHS's own solution, written by a command with one number that is not
+    # finite: a variable's value, or the objective beside correct values.
+    inst, _ = duo_files
+    with open(inst) as fh:
+        model = build_milp(instance_from_json(fh.read()), "rr", "minmax-lat")
+    res = ScipyBackend().solve(model)
+    values = dict(res.values, **({"x_t0_k0": math.nan} if bad == "value" else {}))
+    objective = math.inf if bad == "objective" else res.objective
+    text = f"Model status: Optimal\nObjective: {objective!r}\n" + "".join(
+        f"{name} {v!r}\n" for name, v in values.items()
+    )
+    script = tmp_path / "solver.py"
+    script.write_text(f"import sys\nopen(sys.argv[1], 'w').write({text!r})\n")
+    code, out, _ = run(
+        capsys,
+        "optimize",
+        "--instance", inst,
+        "--policy", "rr",
+        "--objective", "minmax-lat",
+        "--backend", f"{sys.executable} {script} {{sol}} {{lp}}",
+    )
+    assert code == 1
+    doc = json.loads(out, parse_constant=_no_constant)
+    assert doc["status"] == "error" and doc["verified"] is False
     assert doc["message"].startswith("unreadable solution file: ")
 
 

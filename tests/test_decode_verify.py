@@ -1,5 +1,7 @@
 """Decoding solver output into deployments and re-checking claimed objectives."""
 
+from fractions import Fraction
+
 import pytest
 from helpers import assign, make_instance, make_task, seg_cpu, seg_opt
 
@@ -109,6 +111,48 @@ def test_verify_flags_a_proven_claim_its_deployment_beats(two_task):
     assert res.objective == 28_000
     assert "proved 28500.0 optimal" in res.message
     assert verify_solution(two_task, asg, "rr", "minmax-lat", claimed=28_000.0, proven=True).ok
+
+
+def test_verify_flags_a_proven_claim_the_incumbent_beats(two_task):
+    asg = assign({"t1": "c0", "t2": "c1"}, {"t1": 2, "t2": 1})
+    res = verify_solution(
+        two_task, asg, "rr", "minmax-lat", claimed=28_000.0, proven=True, incumbent=Fraction(27_000)
+    )
+    assert not res.ok
+    assert res.objective == 28_000
+    assert res.message == "solver proved 28000.0 optimal but the local search found 27000.0"
+    # Its own deployment refutes this proof too, but the incumbent is named.
+    res = verify_solution(
+        two_task, asg, "rr", "minmax-lat", claimed=28_500.0, proven=True, incumbent=Fraction(28_000)
+    )
+    assert not res.ok
+    assert res.message == "solver proved 28500.0 optimal but the local search found 28000.0"
+    # An incumbent at the proven optimum does not refute it.
+    assert verify_solution(
+        two_task, asg, "rr", "minmax-lat", claimed=28_000.0, proven=True, incumbent=Fraction(28_000)
+    ).ok
+
+
+def test_verify_holds_only_a_proof_to_the_incumbent(two_task):
+    asg = assign({"t1": "c0", "t2": "c1"}, {"t1": 2, "t2": 1})
+    # A solver stopped early may claim more than a known deployment.
+    res = verify_solution(
+        two_task, asg, "rr", "minmax-lat", claimed=28_500.0, incumbent=Fraction(27_000)
+    )
+    assert res.ok and res.message == ""
+
+
+def test_verify_without_an_incumbent_checks_only_the_deployment(two_task):
+    asg = assign({"t1": "c0", "t2": "c1"}, {"t1": 2, "t2": 1})
+    for claimed, message in [
+        (28_000.0, ""),
+        (28_500.0, "solver proved 28500.0 optimal but its own deployment analyzes to 28000.0"),
+        (27_000.0, "solver claimed 27000.0 but the analysis only certifies 28000.0"),
+    ]:
+        res = verify_solution(
+            two_task, asg, "rr", "minmax-lat", claimed=claimed, proven=True, incumbent=None
+        )
+        assert (res.ok, res.message) == (not message, message)
 
 
 def test_verify_flags_overly_optimistic_claim(two_task):

@@ -387,6 +387,18 @@ def test_a_proof_the_incumbent_beats_is_not_verified(tiny):
     assert "local search found 0.4" in res.message
 
 
+def test_a_proof_the_incumbent_beats_is_not_verified_after_the_tie_break(tiny):
+    # The tie-break's deployment is verified against the re-solve's claim,
+    # which the local search still beats.
+    backend = _RecordingBackend(first_core=True)
+    res = optimize(tiny, "rr", "minmax-rt", backend=backend, tie_break=MAX_ACCELERATION)
+    assert backend.presolve == [True, False, False]
+    assert res.status == OPTIMAL and res.resolved_without_presolve
+    assert res.incumbent == Fraction(2, 5)
+    assert not res.verified and not res.ok
+    assert "local search found 0.4" in res.message
+
+
 def test_infeasible_twice_is_an_error_once_the_search_found_a_deployment(tiny):
     backend = _RecordingBackend(answer=INFEASIBLE)
     res = optimize(tiny, "rr", "minmax-lat", backend=backend)
